@@ -1,9 +1,8 @@
 """E16 -- analysis-layer and end-to-end allocation speed.
 
-The PR-1 performance core replaced string-set dataflow with interned
-bitsets (``repro.perf.VarIndex``) and the level-barrier parallel driver
-with a dependency-driven scheduler (``repro.core.schedule``).  This bench
-tracks both claims against the committed seed baseline in
+The performance core replaced string-set dataflow with interned bitsets
+(``repro.perf.VarIndex``) over a flat per-function arena.  This bench
+tracks that claim against the committed seed baseline in
 ``BENCH_analysis_speed.json``:
 
 * end-to-end hierarchical allocation must be >= 3x faster than the seed
@@ -12,10 +11,7 @@ tracks both claims against the committed seed baseline in
   machine; to compare on any machine the bench re-measures the string-set
   reference analysis (``repro.analysis.reference`` -- the seed algorithm,
   preserved verbatim) and scales the recorded baseline by the ratio of
-  calibration times;
-* the dependency-driven parallel driver must not lose to the
-  level-barrier driver it replaced (reconstructed here for comparison);
-* sequential and parallel allocation must produce identical programs.
+  calibration times.
 
 Each run also refreshes the ``current`` section of the baseline JSON so
 future PRs have a perf trajectory to compare against.
@@ -26,17 +22,13 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from conftest import fmt_row, report
 
 from repro.analysis.liveness import compute_liveness
 from repro.analysis.reference import reference_interference, reference_liveness
 from repro.core import HierarchicalAllocator, HierarchicalConfig
-from repro.core.phase1 import allocate_tile
-from repro.core.phase2 import bind_tile
 from repro.graph.interference import build_interference
-from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.workloads.generators import random_program
 from repro.workloads.kernels import sequential_loops
@@ -139,59 +131,6 @@ def _save_baseline(data):
     with open(BASELINE_PATH, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _level_barrier_allocate(fn, workers=None):
-    """The pre-PR parallel driver: one thread-pool barrier per tree level.
-
-    Reconstructed here (the library now ships only the dependency-driven
-    scheduler) so the bench can show the replacement does not regress."""
-    # parallel_min_tiles=1: the barrier phases below are patched in over
-    # the scheduled entry points, which only run when the auto-fallback
-    # does not kick in.
-    config = HierarchicalConfig(
-        parallel=True, parallel_workers=workers, parallel_min_tiles=1
-    )
-    allocator = HierarchicalAllocator(config)
-    work = fn.clone()
-
-    import repro.core.allocator as allocator_mod
-
-    def barrier_phase1(ctx, cfg):
-        by_depth = {}
-        for tile in ctx.tree.postorder():
-            by_depth.setdefault(tile.depth(), []).append(tile)
-        allocations = {}
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for depth in sorted(by_depth, reverse=True):
-                tiles = by_depth[depth]
-                results = pool.map(
-                    lambda t: allocate_tile(ctx, cfg, t, allocations), tiles
-                )
-                for tile, result in zip(tiles, results):
-                    allocations[tile.tid] = result
-        return {t.tid: allocations[t.tid] for t in ctx.tree.postorder()}
-
-    def barrier_phase2(ctx, cfg, allocations):
-        by_depth = {}
-        for tile in ctx.tree.preorder():
-            by_depth.setdefault(tile.depth(), []).append(tile)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for depth in sorted(by_depth):
-                tiles = by_depth[depth]
-                list(pool.map(
-                    lambda t: bind_tile(ctx, cfg, t, allocations), tiles
-                ))
-
-    orig1 = allocator_mod.run_phase1_scheduled
-    orig2 = allocator_mod.run_phase2_scheduled
-    allocator_mod.run_phase1_scheduled = barrier_phase1
-    allocator_mod.run_phase2_scheduled = barrier_phase2
-    try:
-        return allocator.allocate(work, MACHINE)
-    finally:
-        allocator_mod.run_phase1_scheduled = orig1
-        allocator_mod.run_phase2_scheduled = orig2
 
 
 def test_analysis_layer(benchmark):
@@ -404,99 +343,3 @@ def test_cold_path_throughput(benchmark):
             engine.allocate_module(small)
 
         benchmark(run)
-
-
-def test_parallel_drivers(benchmark):
-    """Dependency-driven parallel vs the level-barrier driver it replaced.
-
-    Two parallel columns: ``dep`` is the *production* config
-    (``parallel=True``), which on these tile counts auto-falls back to the
-    sequential driver (``repro.core.schedule.should_parallelize`` -- the
-    GIL makes intra-function thread parallelism a loss at this scale, so
-    the parallel axis moved to processes-per-function in
-    ``repro.batch``); ``forced`` pins ``parallel_min_tiles=1`` so the
-    scheduler itself actually runs and can be compared against the
-    barrier driver it replaced.
-    """
-    widths = [16, 8, 10, 10, 12, 12]
-    rows = [fmt_row(
-        ["workload", "blocks", "seq (ms)", "dep (ms)", "forced (ms)",
-         "barrier (ms)"],
-        widths,
-    )]
-    current = {}
-    forced_total = 0.0
-    barrier_total = 0.0
-    for name, factory in WORKLOADS:
-        fn = factory()
-        seq_cfg = HierarchicalConfig()
-        dep_cfg = HierarchicalConfig(parallel=True, parallel_workers=4)
-        forced_cfg = HierarchicalConfig(
-            parallel=True, parallel_workers=4, parallel_min_tiles=1
-        )
-        seq = _time(lambda: _allocate(fn, seq_cfg), repeats=2)
-        dep = _time(lambda: _allocate(fn, dep_cfg), repeats=3)
-        forced = _time(lambda: _allocate(fn, forced_cfg), repeats=3)
-        barrier = _time(
-            lambda: _level_barrier_allocate(fn, workers=4), repeats=3
-        )
-        forced_total += forced
-        barrier_total += barrier
-        rows.append(fmt_row(
-            [name, len(fn.blocks), round(seq * 1e3, 1),
-             round(dep * 1e3, 1), round(forced * 1e3, 1),
-             round(barrier * 1e3, 1)],
-            widths,
-        ))
-        current[name] = {
-            "sequential_s": round(seq, 4),
-            "dep_parallel_s": round(dep, 4),
-            "dep_forced_s": round(forced, 4),
-            "level_barrier_s": round(barrier, 4),
-        }
-
-        # The dependency-driven scheduler must not lose to the barrier
-        # driver it replaced.  Per-workload check is loose (thread
-        # scheduling on sub-100ms runs is noisy); the aggregate check
-        # below is the real gate.
-        assert forced <= barrier * 1.5, (
-            f"{name}: dep-driven {forced:.3f}s slower than "
-            f"barrier {barrier:.3f}s"
-        )
-
-    report("E16_parallel_drivers", rows)
-
-    assert forced_total <= barrier_total * 1.1, (
-        f"dep-driven total {forced_total:.3f}s slower than "
-        f"barrier total {barrier_total:.3f}s"
-    )
-
-    data = _load_baseline()
-    data.setdefault("current", {})["drivers"] = current
-    _save_baseline(data)
-
-    prepared = sequential_loops(100)
-    benchmark(
-        lambda: _allocate(
-            prepared, HierarchicalConfig(parallel=True, parallel_workers=4)
-        )
-    )
-
-
-def test_parallel_matches_sequential():
-    """Same program text and spill set from both drivers (determinism).
-
-    ``parallel_min_tiles=1`` forces the scheduler so this compares real
-    drivers, not the fallback against itself.
-    """
-    for name, factory in WORKLOADS:
-        fn = factory()
-        seq = _allocate(fn, HierarchicalConfig())
-        par = _allocate(
-            fn,
-            HierarchicalConfig(
-                parallel=True, parallel_workers=4, parallel_min_tiles=1
-            ),
-        )
-        assert format_function(seq.fn) == format_function(par.fn), name
-        assert seq.stats.spilled_vars == par.stats.spilled_vars, name

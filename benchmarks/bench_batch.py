@@ -4,8 +4,9 @@ The paper allocates one procedure at a time; real compilers allocate
 modules.  The batch engine (``repro.batch``) fingerprints every function,
 serves repeats from a content-addressed allocation cache, and fans cache
 misses over a persistent process pool -- processes-per-function being the
-parallel axis that actually scales (intra-function thread parallelism
-loses under the GIL; see ``repro.core.schedule.should_parallelize``).
+parallel axis that scales under the GIL (the allocator colors the tiles
+of one function sequentially; ``bench_parallelism.py`` measures what
+section 6's intra-function parallelism could at most buy).
 
 This bench measures module throughput on a >= 50-function synthetic
 module at several worker counts, cold (empty cache) and warm (second pass

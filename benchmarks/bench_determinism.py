@@ -7,11 +7,10 @@ every order-sensitive choice point with a canonical order; this bench is
 the continuous proof.
 
 Every bench workload (including the 428-block random program) is
-allocated and simulated in fresh subprocesses under >= 3 distinct
-``PYTHONHASHSEED`` values and with ``parallel_workers`` in {1, N} (plus
-the sequential driver), and the resulting fingerprints -- allocated
-program hash, spill set, dynamic cost counters -- must be bit-identical
-across the whole matrix.
+allocated by the production driver and simulated in fresh subprocesses
+under >= 3 distinct ``PYTHONHASHSEED`` values, and the resulting
+fingerprints -- allocated program hash, spill set, dynamic cost counters
+-- must be bit-identical across every seed.
 """
 
 from conftest import fmt_row, report
@@ -24,22 +23,13 @@ from repro.determinism import (
 
 WORKLOADS = workload_names()
 
-#: (hash seed, workers): three salts x {1 worker, 4 workers}, plus the
-#: sequential driver -- every execution mode in one comparison.
-MATRIX = [
-    (seed, workers)
-    for seed in DEFAULT_HASH_SEEDS
-    for workers in (1, 4)
-] + [(DEFAULT_HASH_SEEDS[0], 0)]
-
-
 def test_cross_process_determinism():
     runs = {
-        key: fingerprint_in_subprocess(WORKLOADS, key[0], workers=key[1])
-        for key in MATRIX
+        seed: fingerprint_in_subprocess(WORKLOADS, seed)
+        for seed in DEFAULT_HASH_SEEDS
     }
-    baseline_key = MATRIX[0]
-    baseline = runs[baseline_key]
+    baseline_seed = DEFAULT_HASH_SEEDS[0]
+    baseline = runs[baseline_seed]
 
     widths = [16, 8, 26, 10]
     rows = [fmt_row(
@@ -49,26 +39,26 @@ def test_cross_process_determinism():
     failures = []
     for name in WORKLOADS:
         expected = baseline[name]
-        same = all(runs[key][name] == expected for key in MATRIX)
+        same = all(run[name] == expected for run in runs.values())
         rows.append(fmt_row(
             [
                 name,
                 expected["blocks"],
                 expected["program_sha256"][:24],
-                f"{len(MATRIX)}/{len(MATRIX)}" if same else "DIVERGED",
+                f"{len(runs)}/{len(runs)}" if same else "DIVERGED",
             ],
             widths,
         ))
         if not same:
-            for key in MATRIX:
-                if runs[key][name] != expected:
+            for seed, run in runs.items():
+                if run[name] != expected:
                     failures.append(
-                        f"{name}: seed={key[0]} workers={key[1]} "
-                        f"diverges from baseline {baseline_key}"
+                        f"{name}: seed={seed} diverges from baseline "
+                        f"seed={baseline_seed}"
                     )
     rows.append(
         f"matrix: PYTHONHASHSEED in {list(DEFAULT_HASH_SEEDS)}, "
-        "workers in [1, 4] + sequential driver"
+        "production driver"
     )
     report("E17_determinism", rows)
     assert not failures, "\n".join(failures)

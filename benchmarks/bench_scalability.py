@@ -210,66 +210,3 @@ def test_quick_cold_path_gate():
         f"cold path {cold_fps:.1f} fn/s is only {speedup:.2f}x the "
         f"seed-equivalent {seed_fps_here:.1f} fn/s (need >= 2.5x)"
     )
-
-
-def test_quick_parallel_fallback_gate():
-    """The production parallel config must never lose to sequential.
-
-    On these tile counts (~100-200 tiles) thread-based tile parallelism
-    loses to the GIL, so ``should_parallelize`` auto-falls back to the
-    sequential driver and the only cost left is the threshold check
-    itself -- the scheduler is retained as the paper's section-6
-    reproduction and an ablation axis, not as a performance feature (the
-    parallel axis that pays is processes-per-function in
-    ``repro.batch``).  Gate: parallel config <= 1.05x sequential on the
-    quick workloads (run by CI's perf gate via ``-k quick``).
-
-    The two configs are timed in *interleaved* rounds with the order
-    alternating each round (seq-par, par-seq, ...), best-of per config:
-    timing them in separate back-to-back blocks let slow late-process
-    drift land entirely on whichever config ran second, which failed
-    this gate even when comparing the identical code path against
-    itself.  Times are **CPU time** (``time.process_time``), not wall
-    clock: on a shared runner wall measurements of ~100ms carry enough
-    interference to flip a tight ratio either way, while CPU time only
-    counts this process's work -- and still catches the failure mode the
-    gate exists for, the scheduler accidentally engaging (GIL-bound
-    threading burns strictly *more* CPU than the sequential driver).
-    The threshold is 1.10: the fallback's true overhead is one threshold
-    check (microseconds), the margin absorbs allocator-level CPU jitter.
-    """
-    machine = Machine.simple(8)
-    seq_cfg = HierarchicalConfig()
-    par_cfg = HierarchicalConfig(parallel=True, parallel_workers=4)
-    widths = [16, 12, 12, 8]
-    rows = [fmt_row(["workload", "seq (ms)", "par (ms)", "ratio"], widths)]
-    failures = []
-    for name, factory in QUICK_WORKLOADS.items():
-        fn = factory()
-
-        def run(cfg):
-            start = time.process_time()
-            HierarchicalAllocator(cfg).allocate(fn.clone(), machine)
-            return time.process_time() - start
-
-        seq = par = float("inf")
-        for round_no in range(6):
-            if round_no % 2 == 0:
-                seq = min(seq, run(seq_cfg))
-                par = min(par, run(par_cfg))
-            else:
-                par = min(par, run(par_cfg))
-                seq = min(seq, run(seq_cfg))
-        ratio = par / max(seq, 1e-9)
-        rows.append(fmt_row(
-            [name, round(seq * 1e3, 1), round(par * 1e3, 1),
-             round(ratio, 3)],
-            widths,
-        ))
-        if par > seq * 1.10:
-            failures.append(
-                f"{name}: parallel config {par * 1e3:.1f}ms > "
-                f"1.10x sequential {seq * 1e3:.1f}ms"
-            )
-    report("E15_quick_parallel_fallback", rows)
-    assert not failures, "; ".join(failures)

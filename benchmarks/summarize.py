@@ -22,7 +22,7 @@ DESCRIPTIONS = {
     "E5": "spill code placed in less frequently executed blocks",
     "E6": "per-tile conflict-graph footprint",
     "E7": "profile feedback",
-    "E8": "parallel allocation breadth",
+    "E8": "sibling-subtree parallelism: tree breadth and fuel critical path",
     "E9": "per-region heterogeneous allocation",
     "E10": "operand temporaries (recolor vs reserve vs re-iterate)",
     "E11": "callee-save shrink wrapping",

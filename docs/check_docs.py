@@ -10,7 +10,11 @@ Three checks, all run by the CI docs job (and by ``tests/test_docs.py``):
    on a loopback socket and drive it through the real client;
 2. every backticked ``path`` / ``path:line`` anchor in
    ``docs/PAPER_MAP.md`` points at an existing file (and, when a line
-   number is given, at an existing line of it);
+   number is given, at an existing line of it); an anchor written
+   ``path:line`` (``name``) must land on the definition of ``name``
+   (``def``/``class``, or an assignment for constants and fields; for a
+   dotted ``Class.attr`` the last part), allowing one decorator line
+   above it;
 3. the pytest-style ``path::name`` anchors in PAPER_MAP resolve their
    file part the same way.
 
@@ -45,6 +49,11 @@ ANCHOR_DOC = os.path.join("docs", "PAPER_MAP.md")
 ANCHOR_RE = re.compile(
     r"`(?P<path>[A-Za-z0-9_.\-/]+\.(?:py|md|toml|yml|yaml|ir|ml|txt))"
     r"(?::(?P<line>\d+))?(?:::[A-Za-z0-9_.:]+)?`"
+)
+
+#: `path:line` (`name` -- an anchor that names the definition it targets.
+NAMED_ANCHOR_RE = re.compile(
+    r"`(?P<path>[A-Za-z0-9_.\-/]+\.py):(?P<line>\d+)` \(`(?P<name>[A-Za-z0-9_.]+)`"
 )
 
 
@@ -86,11 +95,49 @@ def check_executable(relpath: str) -> list:
     return errors
 
 
+def defines(source_line: str, name: str) -> bool:
+    """Whether *source_line* defines *name*: a ``def``/``class``
+    statement or an (annotated) assignment of it."""
+    name = re.escape(name.rsplit(".", 1)[-1])
+    return re.match(
+        rf"\s*(?:(?:async\s+)?def|class)\s+{name}\b|\s*{name}\s*[:=]",
+        source_line,
+    ) is not None
+
+
+def check_named_anchor(path: str, line: int, name: str) -> bool:
+    """Whether line *line* of *path* is the definition of *name*, or a
+    decorator line directly above it."""
+    with io.open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not 1 <= line <= len(lines):
+        return False
+    if defines(lines[line - 1], name):
+        return True
+    return (
+        lines[line - 1].lstrip().startswith("@")
+        and line < len(lines)
+        and defines(lines[line], name)
+    )
+
+
 def check_anchors(relpath: str) -> list:
     """Validate every `path[:line]` anchor in one document."""
     errors = []
     found = 0
-    for match in ANCHOR_RE.finditer(_read(relpath)):
+    text = _read(relpath)
+    for match in NAMED_ANCHOR_RE.finditer(text):
+        path, line, name = (
+            match.group("path"), int(match.group("line")), match.group("name")
+        )
+        if os.path.isfile(os.path.join(REPO_ROOT, path)) and not (
+            check_named_anchor(path, line, name)
+        ):
+            errors.append(
+                f"{relpath}: anchor `{path}:{line}` does not land on the "
+                f"definition of `{name}`"
+            )
+    for match in ANCHOR_RE.finditer(text):
         path, line = match.group("path"), match.group("line")
         found += 1
         full = os.path.join(REPO_ROOT, path)

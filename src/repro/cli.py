@@ -12,7 +12,8 @@ Four subcommands over textual IR files (the format of
 * ``trace`` -- run the hierarchical allocator with structured tracing and
   render the per-tile decision report (section-4 metrics per candidate,
   the four boundary cases per edge); optionally dump the raw event stream
-  as JSONL and/or the scheduler timings as a ``chrome://tracing`` file.
+  as JSONL and/or the stage and per-tile timings as a ``chrome://tracing``
+  file.
 * ``batch`` -- allocate every IR/MiniLang file in a directory through the
   batch engine: content-addressed allocation cache (in-memory LRU,
   optionally persistent with ``--cache``) in front of a process pool
@@ -29,7 +30,7 @@ Examples::
     python -m repro allocate prog.ir --allocator hierarchical \
         --registers 4 --arg n=8 --array A=1,2,3,4,5,6,7,8 --verify
     python -m repro trace examples/programs/figure1.ir --registers 4 \
-        --jsonl events.jsonl --chrome sched.json --workers 4
+        --jsonl events.jsonl --chrome timeline.json --timings
     python -m repro batch examples/programs --workers 4 \
         --cache /tmp/alloc-cache --stats
     python -m repro serve --port 8421 --workers 4 \
@@ -240,12 +241,7 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
         sinks.append(ChromeTraceSink(args.chrome))
     tracer = AllocationTracer(sinks)
 
-    workers = args.workers
-    config = HierarchicalConfig(
-        parallel=workers > 0,
-        parallel_workers=workers if workers > 0 else None,
-    )
-    allocator = HierarchicalAllocator(config, tracer=tracer)
+    allocator = HierarchicalAllocator(tracer=tracer)
     # Same preparation as ``allocate`` (web renaming), but no simulation:
     # the report describes allocation decisions, not dynamic costs.
     allocator.allocate(prepare(fn), machine)
@@ -507,11 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument("--registers", type=int, default=4)
     trace_p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="run the dependency-driven parallel scheduler with N workers "
-        "(0 = sequential); the chrome trace shows one row per worker",
-    )
-    trace_p.add_argument(
         "--jsonl", metavar="PATH",
         help="also write the raw event stream as JSON Lines",
     )
@@ -522,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument(
         "--timings", action="store_true",
-        help="append a stage/worker timing summary to the report",
+        help="append a stage/per-tile timing summary to the report",
     )
     trace_p.set_defaults(func=cmd_trace)
 

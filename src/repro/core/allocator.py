@@ -3,15 +3,17 @@
 Ties together tile-tree construction, the bottom-up coloring phase, the
 top-down binding phase, and spill-code insertion, producing the same
 :class:`~repro.allocators.base.AllocationOutcome` interface as the baseline
-allocators.  Sibling subtrees are independent in both phases and can be
-processed concurrently (section 6: "sibling subtrees can be processed
-concurrently in both the bottom-up and top-down passes").
+allocators.  Both phases run one sequential driver: postorder for phase 1,
+preorder for phase 2 (or the memoizing pair of :mod:`repro.core.incremental`
+when a tile store is attached).  Section 6's observation that "sibling
+subtrees can be processed concurrently in both the bottom-up and top-down
+passes" is measured, not exercised: ``benchmarks/bench_parallelism.py``
+reports each tree's per-tile fuel critical path against its total fuel.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.allocators.base import (
     AllocationOutcome,
@@ -28,16 +30,10 @@ from repro.core.incremental import (
     tile_invalidation_key,
 )
 from repro.core.info import FunctionContext, build_context
-from repro.core.phase1 import allocate_tile, run_phase1
-from repro.core.phase2 import bind_tile, run_phase2
-from repro.core.schedule import (
-    resolve_workers,
-    run_phase1_scheduled,
-    run_phase2_scheduled,
-    should_parallelize,
-)
+from repro.core.phase1 import run_phase1
+from repro.core.phase2 import run_phase2
 from repro.core.spill_code import rewrite_program
-from repro.core.summary import MEM, TileAllocation
+from repro.core.summary import TileAllocation
 from repro.ir.function import Function
 from repro.machine.rewrite import check_physical
 from repro.machine.target import Machine
@@ -123,18 +119,10 @@ class HierarchicalAllocator(Allocator):
                 tracer=tracer, budget=budget,
             )
 
-        # Small trees fall back to the sequential driver even with
-        # ``parallel=True``: the thread pool cannot recover its overhead
-        # under the GIL (see ``schedule.should_parallelize``).  Output is
-        # identical either way -- only the schedule differs.  The
-        # incremental drivers are sequential-only (the dirty chain is a
-        # dependency chain anyway); with a store attached they take
-        # precedence over the thread scheduler.
+        # With a store attached the memoizing drivers replace the
+        # sequential pair; output is bit-identical either way.
         store = self.tile_store
         state = None
-        use_scheduler = store is None and should_parallelize(
-            config, len(build.tree)
-        )
         if store is not None:
             invalidation = tile_invalidation_key(config, machine)
             with timers.stage("phase1", tracer):
@@ -142,11 +130,6 @@ class HierarchicalAllocator(Allocator):
                 allocations = state.allocations
             with timers.stage("phase2", tracer):
                 run_phase2_incremental(ctx, config, store, state)
-        elif use_scheduler:
-            with timers.stage("phase1", tracer):
-                allocations = run_phase1_scheduled(ctx, config)
-            with timers.stage("phase2", tracer):
-                run_phase2_scheduled(ctx, config, allocations)
         else:
             with timers.stage("phase1", tracer):
                 allocations = run_phase1(ctx, config)
@@ -154,11 +137,10 @@ class HierarchicalAllocator(Allocator):
                 run_phase2(ctx, config, allocations)
 
         with timers.stage("rewrite", tracer):
-            if ctx.arena is not None:
-                # The rewrite mutates ``work`` in place; the arena is a
-                # snapshot of the pre-rewrite function and must not serve
-                # per-instruction scans past this point.
-                ctx.arena.retire()
+            # The rewrite mutates ``work`` in place; the arena is a
+            # snapshot of the pre-rewrite function and must not serve
+            # per-instruction scans past this point.
+            ctx.arena.retire()
             out = rewrite_program(ctx, config, allocations)
             check_physical(out, machine.num_registers)
 
@@ -169,11 +151,6 @@ class HierarchicalAllocator(Allocator):
         if budget is not None:
             self.last_budget = budget.snapshot()
             stats.extra["budget"] = self.last_budget
-        stats.extra["driver"] = (
-            "incremental"
-            if store is not None
-            else "dep_parallel" if use_scheduler else "sequential"
-        )
         self.last_tile_cache = None
         if state is not None:
             self.last_tile_cache = state.counters(ctx.tree)
@@ -222,66 +199,3 @@ class HierarchicalAllocator(Allocator):
             }
         )
         return stats
-
-
-def _tiles_by_depth(ctx: FunctionContext) -> Dict[int, List]:
-    levels: Dict[int, List] = {}
-    for tile in ctx.tree.preorder():
-        levels.setdefault(tile.depth(), []).append(tile)
-    return levels
-
-
-def _run_phase1_parallel(
-    ctx: FunctionContext, config: HierarchicalConfig
-) -> Dict[int, TileAllocation]:
-    """Phase 1 with sibling tiles colored concurrently, deepest level first.
-
-    Level-barrier driver, kept for benchmarking against the
-    dependency-driven scheduler (:mod:`repro.core.schedule`), which the
-    allocator now uses: all tiles at one depth are mutually independent
-    (they are never ancestors of one another), and every child lies
-    strictly deeper than its parent, so level-by-level scheduling respects
-    the postorder dependency.  Results are identical to the sequential
-    pass.  The shared dicts are passed to the worker explicitly rather than
-    closed over, so the callable is self-contained.
-    """
-    allocations: Dict[int, TileAllocation] = {}
-    levels = _tiles_by_depth(ctx)
-    with ThreadPoolExecutor(max_workers=resolve_workers(config)) as pool:
-        for depth in sorted(levels, reverse=True):
-            tiles = levels[depth]
-            results = list(
-                pool.map(
-                    allocate_tile,
-                    [ctx] * len(tiles),
-                    [config] * len(tiles),
-                    tiles,
-                    [allocations] * len(tiles),
-                )
-            )
-            for tile, alloc in zip(tiles, results):
-                allocations[tile.tid] = alloc
-    return allocations
-
-
-def _run_phase2_parallel(
-    ctx: FunctionContext,
-    config: HierarchicalConfig,
-    allocations: Dict[int, TileAllocation],
-) -> None:
-    """Phase 2 with sibling tiles bound concurrently, shallowest first
-    (level-barrier driver, kept for benchmarking -- see
-    :func:`_run_phase1_parallel`)."""
-    levels = _tiles_by_depth(ctx)
-    with ThreadPoolExecutor(max_workers=resolve_workers(config)) as pool:
-        for depth in sorted(levels):
-            tiles = levels[depth]
-            list(
-                pool.map(
-                    bind_tile,
-                    [ctx] * len(tiles),
-                    [config] * len(tiles),
-                    tiles,
-                    [allocations] * len(tiles),
-                )
-            )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.frequency import FrequencyInfo
@@ -36,29 +36,6 @@ class HierarchicalConfig:
         frequencies: block/edge frequencies; ``None`` uses the static
             estimator.  Pass simulator-profile-derived frequencies for
             profile-guided allocation.
-        parallel: color independent sibling subtrees with a thread pool
-            (section 6's parallelism claim).  Results are identical to the
-            sequential order; this only changes scheduling.  Uses the
-            dependency-driven scheduler of :mod:`repro.core.schedule` -- a
-            tile runs as soon as its own children (phase 1) or parent
-            (phase 2) finish, with no level-wide barriers.  Status: kept
-            as the paper's section-6 reproduction and an ablation axis,
-            *not* as a performance feature -- it defaults off, the
-            auto-threshold below keeps it off at realistic tile counts
-            (the GIL makes intra-function thread parallelism a loss
-            there), and the parallel axis that actually pays is
-            processes-per-function in :mod:`repro.batch`.
-        parallel_workers: thread count for the parallel drivers; ``None``
-            accepts ``ThreadPoolExecutor``'s default sizing.  Must be >= 1
-            when set.
-        parallel_min_tiles: with ``parallel`` on, tile trees smaller than
-            this fall back to the sequential driver (identical output --
-            only the schedule changes).  ``None`` picks the automatic
-            threshold ``max(2 * workers, PARALLEL_AUTO_MIN_TILES)``: on
-            CPython the GIL-bound thread scheduler loses ~10-20% on
-            100-200-tile trees (bench E16 ``drivers``), so small trees
-            gain nothing from the pool.  Set ``1`` to force the scheduler
-            (the determinism matrix and driver benches do).
         max_tile_width: bound on conditional-tile width forwarded to tile
             construction.
         loop_tiles_only: alias ablation -- force ``conditional_tiles=False``
@@ -71,9 +48,6 @@ class HierarchicalConfig:
     demotion: bool = True
     spill_temp_strategy: str = "recolor"
     frequencies: Optional[FrequencyInfo] = None
-    parallel: bool = False
-    parallel_workers: Optional[int] = None
-    parallel_min_tiles: Optional[int] = None
     max_tile_width: Optional[int] = None
     #: spill-candidate ranking: "cost_over_degree" (Chaitin's ratio, the
     #: paper's implementation choice), "cost", or "degree" (section 4:
@@ -88,14 +62,6 @@ class HierarchicalConfig:
         if self.spill_heuristic not in ("cost_over_degree", "cost", "degree"):
             raise ValueError(
                 f"unknown spill_heuristic {self.spill_heuristic!r}"
-            )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
-            )
-        if self.parallel_min_tiles is not None and self.parallel_min_tiles < 1:
-            raise ValueError(
-                f"parallel_min_tiles must be >= 1, got {self.parallel_min_tiles}"
             )
 
 

@@ -51,6 +51,7 @@ labels, reserved-register rotation) that is not worth fingerprinting.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -65,7 +66,7 @@ from repro.graph.interference import InterferenceGraph
 from repro.ir.printer import format_instr
 from repro.machine.target import Machine
 from repro.tiles.tile import Tile
-from repro.trace.events import TileCacheHit
+from repro.trace.events import StageTiming, TileCacheHit
 
 #: Bump when the fingerprint recipe below changes: old entries must never
 #: answer for inputs hashed under a different recipe.
@@ -454,6 +455,7 @@ def run_phase1_incremental(
     allocations = state.allocations
     fps = state.fingerprints
     for tile in ctx.tree.postorder():
+        start = time.perf_counter()
         fp = tile_fingerprint(ctx, tile, allocations, fps, invalidation)
         fps[tile.tid] = fp
         entry = store.get(("p1", fp))
@@ -472,6 +474,8 @@ def run_phase1_incremental(
             state.shared_graphs[tile.tid] = entry.graph
             store.put(("p1", fp), entry)
         allocations[tile.tid] = alloc
+        if tracer.enabled:
+            tracer.emit(StageTiming.for_tile("phase1", tile.tid, start))
     return state
 
 
@@ -488,6 +492,7 @@ def run_phase2_incremental(
     tracer = ctx.tracer
     allocations = state.allocations
     for tile in ctx.tree.preorder():
+        start = time.perf_counter()
         alloc = allocations[tile.tid]
         fp = state.fingerprints[tile.tid]
         key = ("p2", fp, interface_digest(ctx, tile, alloc, allocations))
@@ -503,18 +508,20 @@ def run_phase2_incremental(
                 tracer.emit(TileCacheHit(
                     tile_id=tile.tid, phase="phase2", fingerprint=fp,
                 ))
-            continue
-        shared = state.shared_graphs.get(tile.tid)
-        if shared is not None and alloc.graph is shared:
-            alloc.graph = shared.clone()
-        rounds_before = alloc.recolor_rounds
-        bind_tile(ctx, config, tile, allocations)
-        state.phase2_misses += 1
-        store.put(key, Phase2Overlay(
-            phys=dict(alloc.phys),
-            summary_phys=dict(alloc.summary_phys),
-            temp_nodes=set(alloc.temp_nodes),
-            rounds_delta=alloc.recolor_rounds - rounds_before,
-            node_count=len(alloc.graph),
-            edge_count=alloc.graph.edge_count(),
-        ))
+        else:
+            shared = state.shared_graphs.get(tile.tid)
+            if shared is not None and alloc.graph is shared:
+                alloc.graph = shared.clone()
+            rounds_before = alloc.recolor_rounds
+            bind_tile(ctx, config, tile, allocations)
+            state.phase2_misses += 1
+            store.put(key, Phase2Overlay(
+                phys=dict(alloc.phys),
+                summary_phys=dict(alloc.summary_phys),
+                temp_nodes=set(alloc.temp_nodes),
+                rounds_delta=alloc.recolor_rounds - rounds_before,
+                node_count=len(alloc.graph),
+                edge_count=alloc.graph.edge_count(),
+            ))
+        if tracer.enabled:
+            tracer.emit(StageTiming.for_tile("phase2", tile.tid, start))

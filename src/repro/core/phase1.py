@@ -17,9 +17,8 @@ Each tile, visited in postorder:
 Invariants callers rely on:
 
 * :func:`allocate_tile` requires every child's :class:`TileAllocation` to
-  be present in *allocations* (postorder discipline); the parallel
-  scheduler preserves this by submitting a tile only after its last child
-  finishes.
+  be present in *allocations* (postorder discipline); the sequential and
+  incremental drivers both walk the tree in postorder.
 * a tile's returned allocation is complete and immutable from the
   parent's perspective: summary variables, conflict summaries and
   finalized ``Reg``/``Mem`` metrics never change once returned.
@@ -32,6 +31,7 @@ Invariants callers rely on:
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import HierarchicalConfig
@@ -52,19 +52,26 @@ from repro.core.tilecolor import TileColoringSpec, color_tile
 from repro.graph.interference import InterferenceGraph, build_interference
 from repro.ir.instructions import Opcode, is_phys
 from repro.tiles.tile import Tile
-from repro.trace.events import SpillDecision, TileColored
+from repro.trace.events import SpillDecision, StageTiming, TileColored
 
 
 def run_phase1(
     ctx: FunctionContext, config: HierarchicalConfig
 ) -> Dict[int, TileAllocation]:
-    """Allocate every tile bottom-up; returns allocations keyed by tile id."""
+    """Allocate every tile bottom-up; returns allocations keyed by tile id.
+
+    With tracing on, each tile also emits a ``"tile"``
+    :class:`~repro.trace.events.StageTiming`."""
     allocations: Dict[int, TileAllocation] = {}
     budget = ctx.budget
+    tracer = ctx.tracer
     for tile in ctx.tree.postorder():
         if budget is not None:
             budget.charge(1, "tiles")
+        start = time.perf_counter()
         allocations[tile.tid] = allocate_tile(ctx, config, tile, allocations)
+        if tracer.enabled:
+            tracer.emit(StageTiming.for_tile("phase1", tile.tid, start))
     return allocations
 
 

@@ -20,8 +20,8 @@ Spill/transfer code between the tile and its parent is planned later by
 Invariants callers rely on:
 
 * :func:`bind_tile` requires the parent's ``phys`` map to be complete
-  (preorder discipline); the parallel scheduler submits a tile only after
-  its parent finishes.
+  (preorder discipline); the sequential and incremental drivers both walk
+  the tree in preorder.
 * after ``bind_tile`` returns, ``alloc.phys`` maps *every* node the
   rewrite stage can encounter in the tile -- visible variables, operand
   temporaries, intruders -- to a physical register or :data:`MEM`.
@@ -32,6 +32,7 @@ Invariants callers rely on:
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Set
 
 from repro.core.config import HierarchicalConfig
@@ -41,7 +42,12 @@ from repro.core.tilecolor import TileColoringSpec, color_tile
 from repro.ir.instructions import is_phys
 from repro.tiles.tile import Tile
 from repro.core.metrics import snapshot_candidates
-from repro.trace.events import PseudoBound, SpillDecision, TileColored
+from repro.trace.events import (
+    PseudoBound,
+    SpillDecision,
+    StageTiming,
+    TileColored,
+)
 
 
 def run_phase2(
@@ -49,12 +55,19 @@ def run_phase2(
     config: HierarchicalConfig,
     allocations: Dict[int, TileAllocation],
 ) -> None:
-    """Bind every tile top-down; fills ``alloc.phys`` per tile."""
+    """Bind every tile top-down; fills ``alloc.phys`` per tile.
+
+    With tracing on, each tile also emits a ``"tile"``
+    :class:`~repro.trace.events.StageTiming`."""
     budget = ctx.budget
+    tracer = ctx.tracer
     for tile in ctx.tree.preorder():
         if budget is not None:
             budget.charge(1, "tiles")
+        start = time.perf_counter()
         bind_tile(ctx, config, tile, allocations)
+        if tracer.enabled:
+            tracer.emit(StageTiming.for_tile("phase2", tile.tid, start))
 
 
 def bind_tile(

@@ -1,8 +1,8 @@
 """Cross-process reproducibility fingerprints for the allocation pipeline.
 
 The allocator promises bit-identical output regardless of Python's
-per-process string-hash salt (``PYTHONHASHSEED``), the number of parallel
-workers, or the platform.  This module is the proof harness:
+per-process string-hash salt (``PYTHONHASHSEED``) or the platform.  This
+module is the proof harness:
 
 * :func:`allocation_fingerprint` compiles one workload end-to-end and
   condenses everything observable -- the allocated program text, the set
@@ -11,8 +11,8 @@ workers, or the platform.  This module is the proof harness:
 * the ``fingerprint`` CLI command prints those dicts for a list of
   workloads, so a *fresh interpreter* can be asked for its view;
 * the ``check`` CLI command re-runs ``fingerprint`` in subprocesses under
-  several distinct ``PYTHONHASHSEED`` values and worker counts and fails
-  loudly on any divergence;
+  several distinct ``PYTHONHASHSEED`` values and fails loudly on any
+  divergence;
 * the ``--incremental`` flag extends both commands with the memoization
   proof: allocate each workload with a tile store attached, apply a
   deterministic single-block edit, re-allocate warm (clean subtrees come
@@ -40,7 +40,7 @@ import json
 import os
 import subprocess
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.budget import BudgetLimits
@@ -54,10 +54,6 @@ from repro.workloads.kernels import sequential_loops
 #: Hash seeds the ``check`` command uses by default -- three distinct
 #: salts (0 disables randomization; the others are arbitrary but fixed).
 DEFAULT_HASH_SEEDS: Tuple[str, ...] = ("0", "1", "12345")
-
-#: Worker settings the ``check`` command uses by default: 0 means the
-#: sequential driver, anything else the dependency-driven scheduler.
-DEFAULT_WORKER_COUNTS: Tuple[int, ...] = (0, 4)
 
 _ARRAYS = {
     "A": [3, -1, 4, 1, -5, 9, 2, -6],
@@ -162,7 +158,6 @@ def edit_one_block(fn: Function) -> str:
 
 def incremental_fingerprints(
     names: Sequence[str],
-    workers: int = 0,
     registers: int = 8,
 ) -> Dict[str, Dict[str, object]]:
     """The per-tile memoization proof for *names* (tentpole determinism).
@@ -181,7 +176,6 @@ def incremental_fingerprints(
     from repro.core.incremental import TileCacheStore
 
     machine = Machine.simple(registers)
-    config = _config_for(workers)
     out: Dict[str, Dict[str, object]] = {}
     for name in names:
         base = build_workload(name)
@@ -189,7 +183,7 @@ def incremental_fingerprints(
         edited_label = edit_one_block(edited.fn)
 
         store = TileCacheStore()
-        allocator = HierarchicalAllocator(config, tile_store=store)
+        allocator = HierarchicalAllocator(tile_store=store)
         cold = compile_function(base, allocator, machine)
         base_fp = _result_fingerprint(base.label(), cold)
         warm = compile_function(edited, allocator, machine)
@@ -198,7 +192,7 @@ def incremental_fingerprints(
 
         fresh = build_workload(name)
         edit_one_block(fresh.fn)
-        full_fp = allocation_fingerprint(fresh, config=config, machine=machine)
+        full_fp = allocation_fingerprint(fresh, machine=machine)
 
         if warm_fp != full_fp:
             raise RuntimeError(
@@ -225,18 +219,6 @@ def incremental_fingerprints(
             "reuse": counters,
         }
     return out
-
-
-def _config_for(workers: int) -> HierarchicalConfig:
-    if workers <= 0:
-        return HierarchicalConfig()
-    # parallel_min_tiles=1 forces the dependency-driven scheduler even on
-    # trees below the auto-fallback threshold -- the determinism matrix
-    # exists to prove the *scheduler* is deterministic, so it must not be
-    # quietly replaced by the sequential driver.
-    return HierarchicalConfig(
-        parallel=True, parallel_workers=workers, parallel_min_tiles=1
-    )
 
 
 def batch_fingerprints(
@@ -363,7 +345,6 @@ def service_fingerprints(
 def budgeted_fingerprints(
     names: Sequence[str],
     fuel: int,
-    workers: int = 0,
     registers: int = 8,
 ) -> Dict[str, Dict[str, object]]:
     """Fingerprints of *names* allocated under a ``max_fuel`` budget.
@@ -382,11 +363,10 @@ def budgeted_fingerprints(
     the survival harness -- ``benchmarks/bench_guard.py`` owns aborts).
     """
     machine = Machine.simple(registers)
-    config = _config_for(workers)
     out: Dict[str, Dict[str, object]] = {}
     for name in names:
         allocator = HierarchicalAllocator(
-            config, budget_limits=BudgetLimits(max_fuel=fuel)
+            budget_limits=BudgetLimits(max_fuel=fuel)
         )
         result = compile_function(build_workload(name), allocator, machine)
         fp = _result_fingerprint(name, result)
@@ -402,20 +382,19 @@ def budgeted_fingerprints(
 
 def fingerprint_workloads(
     names: Sequence[str],
-    workers: int = 0,
     registers: int = 8,
     batch_workers: Optional[int] = None,
     service: bool = False,
     incremental: bool = False,
     budget_fuel: Optional[int] = None,
 ) -> Dict[str, Dict[str, object]]:
-    """Fingerprints for *names*, in order, under one allocator config.
+    """Fingerprints for *names*, in order, under the default config.
 
     With *batch_workers* set (``>= 0``), each workload's dict also
     carries a ``"batch"`` section -- the cold/warm batch-engine
     fingerprints -- after asserting the cold batch result is identical to
     the directly-computed fingerprint, so ``check`` compares cached,
-    pooled and direct allocations across all its (seed, workers) combos.
+    pooled and direct allocations across all its hash seeds.
 
     With *service* set, the workloads are additionally round-tripped over
     HTTP through a live :class:`~repro.service.AllocationService`; each
@@ -434,11 +413,8 @@ def fingerprint_workloads(
     ``"budget"``.
     """
     machine = Machine.simple(registers)
-    config = _config_for(workers)
     prints = {
-        name: allocation_fingerprint(
-            build_workload(name), config=config, machine=machine
-        )
+        name: allocation_fingerprint(build_workload(name), machine=machine)
         for name in names
     }
     served: Optional[Dict[str, Dict[str, object]]] = None
@@ -467,9 +443,7 @@ def fingerprint_workloads(
                 )
             prints[name]["batch"] = batched[name]
     if incremental:
-        incr = incremental_fingerprints(
-            names, workers=workers, registers=registers
-        )
+        incr = incremental_fingerprints(names, registers=registers)
         for name in names:
             # The batch section may already be attached; compare against
             # the bare direct fingerprint.
@@ -487,7 +461,7 @@ def fingerprint_workloads(
             prints[name]["incremental"] = incr[name]
     if budget_fuel is not None:
         budgeted = budgeted_fingerprints(
-            names, budget_fuel, workers=workers, registers=registers
+            names, budget_fuel, registers=registers
         )
         for name in names:
             bare = {
@@ -527,7 +501,6 @@ def _src_pythonpath() -> str:
 def fingerprint_in_subprocess(
     names: Sequence[str],
     hash_seed: str,
-    workers: int = 0,
     registers: int = 8,
     batch_workers: Optional[int] = None,
     service: bool = False,
@@ -545,8 +518,6 @@ def fingerprint_in_subprocess(
         "fingerprint",
         "--workloads",
         ",".join(names),
-        "--workers",
-        str(workers),
         "--registers",
         str(registers),
     ]
@@ -563,8 +534,8 @@ def fingerprint_in_subprocess(
     )
     if proc.returncode != 0:
         raise RuntimeError(
-            f"fingerprint subprocess failed (seed={hash_seed}, "
-            f"workers={workers}):\n{proc.stderr}"
+            f"fingerprint subprocess failed (seed={hash_seed}):\n"
+            f"{proc.stderr}"
         )
     return json.loads(proc.stdout)
 
@@ -572,14 +543,13 @@ def fingerprint_in_subprocess(
 def cross_process_check(
     names: Sequence[str],
     hash_seeds: Sequence[str] = DEFAULT_HASH_SEEDS,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
     registers: int = 8,
     batch_workers: Optional[int] = None,
     service: bool = False,
     incremental: bool = False,
     budget_fuel: Optional[int] = None,
 ) -> List[str]:
-    """Compare fingerprints across every (hash seed, workers) combination.
+    """Compare fingerprints across every hash seed.
 
     With *batch_workers* set, each subprocess additionally pushes the
     module through the batch engine twice (cold compute + warm cache) and
@@ -597,28 +567,27 @@ def cross_process_check(
     differently fails even if it allocates identically.
 
     Returns a list of human-readable mismatch descriptions; empty means
-    every combination produced bit-identical results.
+    every hash seed produced bit-identical results.
     """
-    runs: Dict[Tuple[str, int], Dict[str, Dict[str, object]]] = {}
-    for seed in hash_seeds:
-        for workers in worker_counts:
-            runs[(seed, workers)] = fingerprint_in_subprocess(
-                names, seed, workers=workers, registers=registers,
-                batch_workers=batch_workers, service=service,
-                incremental=incremental, budget_fuel=budget_fuel,
-            )
-
-    baseline_key = (hash_seeds[0], worker_counts[0])
-    baseline = runs[baseline_key]
+    runs = {
+        seed: fingerprint_in_subprocess(
+            names, seed, registers=registers,
+            batch_workers=batch_workers, service=service,
+            incremental=incremental, budget_fuel=budget_fuel,
+        )
+        for seed in hash_seeds
+    }
+    baseline_seed = hash_seeds[0]
+    baseline = runs[baseline_seed]
     problems: List[str] = []
-    for key, run in runs.items():
-        if key == baseline_key:
+    for seed, run in runs.items():
+        if seed == baseline_seed:
             continue
         for name in names:
             if run[name] != baseline[name]:
                 problems.append(
-                    f"{name}: seed={key[0]} workers={key[1]} diverges from "
-                    f"seed={baseline_key[0]} workers={baseline_key[1]}:\n"
+                    f"{name}: seed={seed} diverges from "
+                    f"seed={baseline_seed}:\n"
                     f"  baseline: {json.dumps(baseline[name], sort_keys=True)}\n"
                     f"  got:      {json.dumps(run[name], sort_keys=True)}"
                 )
@@ -643,7 +612,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     fp = sub.add_parser("fingerprint", help="print fingerprints as JSON")
     fp.add_argument("--workloads", default="all")
-    fp.add_argument("--workers", type=int, default=0)
     fp.add_argument("--registers", type=int, default=8)
     fp.add_argument(
         "--batch", type=int, default=None, metavar="N",
@@ -671,37 +639,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     ck = sub.add_parser(
         "check",
-        help="compare fingerprints across hash seeds and worker counts",
+        help="compare fingerprints across hash seeds",
     )
     ck.add_argument("--workloads", default="all")
     ck.add_argument(
         "--seeds", default=",".join(DEFAULT_HASH_SEEDS),
         help="comma-separated PYTHONHASHSEED values",
     )
-    ck.add_argument(
-        "--workers", default=",".join(str(w) for w in DEFAULT_WORKER_COUNTS),
-        help="comma-separated worker counts (0 = sequential driver)",
-    )
     ck.add_argument("--registers", type=int, default=8)
     ck.add_argument(
         "--batch", type=int, default=None, metavar="N",
         help="include batch-engine cold/warm cache fingerprints (N pool "
-        "workers, 0 = in-process) in every combination",
+        "workers, 0 = in-process) under every seed",
     )
     ck.add_argument(
         "--service", action="store_true",
         help="include HTTP-served fingerprints (a live allocation "
-        "service per subprocess) in every combination",
+        "service per subprocess) under every seed",
     )
     ck.add_argument(
         "--incremental", action="store_true",
         help="include the per-tile memoization proof (warm incremental "
-        "== fresh full, reuse counters compared) in every combination",
+        "== fresh full, reuse counters compared) under every seed",
     )
     ck.add_argument(
         "--budget", type=int, default=None, metavar="FUEL",
         help="include budgeted-allocation fingerprints (max_fuel=FUEL; "
-        "fuel-spend counters compared) in every combination",
+        "fuel-spend counters compared) under every seed",
     )
 
     args = parser.parse_args(argv)
@@ -709,7 +673,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "fingerprint":
         prints = fingerprint_workloads(
-            names, workers=args.workers, registers=args.registers,
+            names, registers=args.registers,
             batch_workers=args.batch, service=args.service,
             incremental=args.incremental, budget_fuel=args.budget,
         )
@@ -718,26 +682,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     seeds = [s for s in args.seeds.split(",") if s]
-    workers = [int(w) for w in args.workers.split(",") if w != ""]
     problems = cross_process_check(
-        names, hash_seeds=seeds, worker_counts=workers,
+        names, hash_seeds=seeds,
         registers=args.registers, batch_workers=args.batch,
         service=args.service, incremental=args.incremental,
         budget_fuel=args.budget,
     )
-    combos = len(seeds) * len(workers)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)
         print(
-            f"FAIL: {len(problems)} divergence(s) across {combos} "
-            f"(seed, workers) combinations",
+            f"FAIL: {len(problems)} divergence(s) across {len(seeds)} "
+            f"hash seeds",
             file=sys.stderr,
         )
         return 1
     print(
-        f"OK: {len(names)} workload(s) bit-identical across {combos} "
-        f"(seed, workers) combinations"
+        f"OK: {len(names)} workload(s) bit-identical across {len(seeds)} "
+        f"hash seeds"
     )
     return 0
 

@@ -12,10 +12,10 @@ the adjacency of a node is a single Python-int bitmask over those ids, so
 edge insertion, degree, and induced subgraphs are word-level operations.
 The string-facing API (``nodes``/``neighbors``/``adjacency``/``edges``) is a
 facade materialized from the masks -- hot callers use the id-level accessors
-(``node_ids``/``id_masks``/``id_names``) or the CSR export instead.  Node
-iteration order is insertion order, which construction keeps canonical
-(never hash-salted); removed-then-re-added nodes go to the end, exactly like
-the dict-of-sets representation this replaces.
+(``node_ids``/``id_masks``/``id_names``) instead.  Node iteration order is
+insertion order, which construction keeps canonical (never hash-salted);
+removed-then-re-added nodes go to the end, exactly like the dict-of-sets
+representation this replaces.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.liveness import Liveness
 from repro.ir.function import Function
-from repro.ir.instructions import Instr, Opcode
 
 
 class InterferenceGraph:
@@ -451,35 +450,6 @@ class InterferenceGraph:
             self._rank_arr_version = self._version
         return self._rank_arr
 
-    def csr(self):
-        """The graph as CSR arrays ``(indptr, indices, degrees)``.
-
-        Rows follow node insertion order; ``indices`` hold node *positions*
-        (row numbers, not internal ids) sorted ascending per row.  All
-        three are numpy ``int32`` arrays -- the flat export consumed by
-        benches and array-level consumers without materializing per-node
-        adjacency dicts.
-        """
-        import numpy as np
-
-        pos = {i: p for p, i in enumerate(self._ids.values())}
-        n = len(pos)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        degrees = np.zeros(n, dtype=np.int32)
-        cols: List[int] = []
-        for p, i in enumerate(self._ids.values()):
-            mask = self._masks[i]
-            row: List[int] = []
-            while mask:
-                low = mask & -mask
-                row.append(pos[low.bit_length() - 1])
-                mask ^= low
-            row.sort()
-            cols.extend(row)
-            degrees[p] = len(row)
-            indptr[p + 1] = len(cols)
-        return indptr, np.asarray(cols, dtype=np.int32), degrees
-
     # ------------------------------------------------------------------
     # string facade
     # ------------------------------------------------------------------
@@ -531,16 +501,16 @@ def build_interference(
     classic copy exemption, and multiple definitions of one instruction
     conflict with each other.
 
-    The construction runs over the bitsets of ``liveness``, and the
-    resulting vid-space masks *are* the graph: node ids are the liveness
-    ``VarIndex`` vids, so no remapping or string materialization happens
-    at all -- one dict insert per node.
+    The construction runs over the per-instruction bitsets of the
+    liveness arena (:class:`~repro.perf.arena.FunctionArena`) and lowers
+    the resulting vid-space masks into dense local ids once at the end.
+    Raises ``RuntimeError`` if that arena was retired (the function was
+    mutated since liveness ran) or was built for a different function.
     """
     if labels is None:
         labels = list(fn.blocks)
 
     index = liveness.index
-    intern = index.intern
     relevant_mask: Optional[int] = (
         None if relevant is None else index.mask_of(relevant)
     )
@@ -548,94 +518,55 @@ def build_interference(
     node_mask = 0
     adj: Dict[int, int] = {}
 
-    arena = getattr(liveness, "arena", None)
-    if arena is not None and (arena.fn is not fn or arena.retired):
-        arena = None
+    arena = liveness.arena
+    if arena.fn is not fn:
+        raise RuntimeError(
+            f"build_interference: liveness was computed for "
+            f"{arena.fn.name!r}, not for {fn.name!r}"
+        )
+    arena.check_current("build_interference")
 
-    if arena is not None:
-        # Flat path: the def-point construction runs entirely over the
-        # arena's precomputed per-instruction bitsets -- no operand-name
-        # interning, no Instr attribute walks.  Same edges, same order.
-        adj_get = adj.get
-        block_id = arena.block_id
-        block_start = arena.block_start
-        i_ref = arena.i_ref
-        i_written = arena.i_written
-        i_exempt = arena.i_exempt
-        i_written_vids = arena.i_written_vids
-        for label in labels:
-            bid = block_id[label]
-            if budget is not None:
-                budget.charge(
-                    1 + block_start[bid + 1] - block_start[bid], "graph"
-                )
-            live_out_per_instr = liveness.instr_live_out_bits(label)
-            start = block_start[bid]
-            for k in range(block_start[bid + 1] - start):
-                i = start + k
-                referenced = i_ref[i]
-                if relevant_mask is not None:
-                    referenced &= relevant_mask
-                node_mask |= referenced
+    # The def-point construction runs entirely over the arena's
+    # precomputed per-instruction bitsets -- no operand-name interning,
+    # no Instr attribute walks.  Clobbered registers (calls) are written
+    # as a side effect, so they sit in ``i_written`` and conflict with
+    # everything live across the instruction.
+    adj_get = adj.get
+    block_id = arena.block_id
+    block_start = arena.block_start
+    i_ref = arena.i_ref
+    i_written = arena.i_written
+    i_exempt = arena.i_exempt
+    i_written_vids = arena.i_written_vids
+    for label in labels:
+        bid = block_id[label]
+        if budget is not None:
+            budget.charge(
+                1 + block_start[bid + 1] - block_start[bid], "graph"
+            )
+        live_out_per_instr = liveness.instr_live_out_bits(label)
+        start = block_start[bid]
+        for k in range(block_start[bid + 1] - start):
+            i = start + k
+            referenced = i_ref[i]
+            if relevant_mask is not None:
+                referenced &= relevant_mask
+            node_mask |= referenced
 
-                sibling_mask = i_written[i]
-                if not sibling_mask:
+            sibling_mask = i_written[i]
+            if not sibling_mask:
+                continue
+            targets = live_out_per_instr[k] & ~i_exempt[i]
+            if relevant_mask is not None:
+                targets &= relevant_mask
+                sibling_mask &= relevant_mask
+            for vid in i_written_vids[i]:
+                vbit = 1 << vid
+                if relevant_mask is not None and not (vbit & relevant_mask):
                     continue
-                targets = live_out_per_instr[k] & ~i_exempt[i]
-                if relevant_mask is not None:
-                    targets &= relevant_mask
-                    sibling_mask &= relevant_mask
-                for vid in i_written_vids[i]:
-                    vbit = 1 << vid
-                    if relevant_mask is not None and not (
-                        vbit & relevant_mask
-                    ):
-                        continue
-                    new = (targets | sibling_mask) & ~vbit
-                    if new:
-                        adj[vid] = adj_get(vid, 0) | new
-    else:
-        for label in labels:
-            block = fn.blocks[label]
-            if budget is not None:
-                budget.charge(1 + len(block.instrs), "graph")
-            live_out_per_instr = liveness.instr_live_out_bits(label)
-            for instr, live_after in zip(block.instrs, live_out_per_instr):
-                referenced = 0
-                for var in instr.defs:
-                    referenced |= 1 << intern(var)
-                for var in instr.uses:
-                    referenced |= 1 << intern(var)
-                # Clobbered registers (calls) are written as a side
-                # effect: they conflict with everything live across the
-                # instruction.
-                for var in instr.clobbers:
-                    referenced |= 1 << intern(var)
-                if relevant_mask is not None:
-                    referenced &= relevant_mask
-                node_mask |= referenced
-
-                written = instr.defs + instr.clobbers
-                if not written:
-                    continue
-                exempt_mask = (
-                    1 << intern(instr.uses[0]) if instr.is_copy_like else 0
-                )
-                targets = live_after & ~exempt_mask
-                sibling_mask = 0
-                for var in written:
-                    sibling_mask |= 1 << intern(var)
-                if relevant_mask is not None:
-                    targets &= relevant_mask
-                    sibling_mask &= relevant_mask
-                for var in written:
-                    vid = intern(var)
-                    vbit = 1 << vid
-                    if relevant_mask is not None and not (vbit & relevant_mask):
-                        continue
-                    new = (targets | sibling_mask) & ~vbit
-                    if new:
-                        adj[vid] = adj.get(vid, 0) | new
+                new = (targets | sibling_mask) & ~vbit
+                if new:
+                    adj[vid] = adj_get(vid, 0) | new
 
     # Live-after edges were recorded def-side only; mirror them so the
     # adjacency is symmetric (sibling cliques are already symmetric).  The

@@ -23,18 +23,15 @@ first-seen order):
   ``instrs`` (the original ``Instr`` objects, for the rare consumers that
   need operand order or immediates).
 * **CFG**: successor/predecessor adjacency in CSR form
-  (``succ_indptr``/``succ_ids`` and the ``pred_*`` twins) -- numpy int32
-  arrays when numpy is present *and* the function has at least
-  ``VECTOR_LIVENESS_MIN_BLOCKS`` blocks (the vectorized liveness sweep is
-  their only array-level consumer), plain Python lists otherwise (the
-  small-function fast path: no asarray cost, and the scalar worklist
-  indexes lists faster than it indexes numpy arrays).
+  (``succ_indptr``/``succ_ids`` and the ``pred_*`` twins), plain Python
+  lists the scalar liveness worklist indexes directly.
 
 Invalidation: the arena is a snapshot.  It is valid from construction
 until the function is mutated (CFG edits *or* in-place instruction edits);
 the allocator calls :meth:`FunctionArena.retire` before the spill-rewrite
-stage, after which consumers fall back to the object walk.  See DESIGN.md,
-"Arena and CSR layout".
+stage, after which per-instruction scans, interference builds and block
+digests over it raise ``RuntimeError``.  See DESIGN.md, "Arena and CSR
+layout".
 """
 
 from __future__ import annotations
@@ -43,20 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.perf.varindex import VarIndex
-
-try:  # numpy is optional at runtime; the arena works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in the dev image
-    _np = None
-
-#: Block count at or above which the vectorized (numpy) liveness sweep is
-#: preferred over the scalar worklist.  Small functions converge in a few
-#: worklist pops; the batched sweep pays off once many blocks change per
-#: round.  Both compute the same least fixed point, so the cutover is a
-#: pure performance knob (property-tested equivalent in
-#: tests/test_arena_differential.py).
-VECTOR_LIVENESS_MIN_BLOCKS = 48
-
 
 class FunctionArena:
     """Immutable flat lowering of one function (see module docstring)."""
@@ -182,22 +165,10 @@ class FunctionArena:
         for plist in preds:
             pred_ids.extend(plist)
             pred_indptr.append(len(pred_ids))
-        # Small-function fast path: the numpy CSR arrays exist for the
-        # vectorized liveness sweep (their only array-level consumer),
-        # which never runs below VECTOR_LIVENESS_MIN_BLOCKS -- and the
-        # scalar worklist indexes plain lists *faster* than numpy arrays
-        # (each numpy index boxes an int32 scalar).  So tiny functions
-        # skip the four asarray conversions entirely and keep the lists.
-        if _np is not None and len(labels) >= VECTOR_LIVENESS_MIN_BLOCKS:
-            self.succ_indptr = _np.asarray(succ_indptr, dtype=_np.int32)
-            self.succ_ids = _np.asarray(succ_ids, dtype=_np.int32)
-            self.pred_indptr = _np.asarray(pred_indptr, dtype=_np.int32)
-            self.pred_ids = _np.asarray(pred_ids, dtype=_np.int32)
-        else:
-            self.succ_indptr = succ_indptr
-            self.succ_ids = succ_ids
-            self.pred_indptr = pred_indptr
-            self.pred_ids = pred_ids
+        self.succ_indptr = succ_indptr
+        self.succ_ids = succ_ids
+        self.pred_indptr = pred_indptr
+        self.pred_ids = pred_ids
 
         # copy sites -- (block id, def name, use name) per COPY/MOVE with
         # both operands -- were collected during pass 2 above.
@@ -220,9 +191,9 @@ class FunctionArena:
     def retire(self) -> None:
         """Mark the snapshot stale (the function is about to be mutated).
 
-        Consumers holding the arena fall back to walking the live
-        ``Instr`` objects; cheap and explicit, where version-sniffing
-        would miss in-place instruction edits."""
+        Per-instruction scans, interference builds and block digests
+        over a retired arena raise; cheap and explicit, where
+        version-sniffing would miss in-place instruction edits."""
         self._retired = True
 
     @property
@@ -321,22 +292,12 @@ class FunctionArena:
     def compute_liveness(self) -> None:
         """Fill ``live_in``/``live_out`` (block-level bitsets, by block id).
 
-        Solves the classic backward equations.  Two interchangeable
-        engines compute the same least fixed point: a scalar bitset
-        worklist (fast for small CFGs) and a batched numpy sweep over
-        word-packed rows (wins once many blocks change per round).
+        Solves the classic backward equations with a scalar bitset
+        worklist, seeded in reverse RPO for fast convergence (unreachable
+        blocks are appended so partially-built functions still analyze).
+        The arena's budget, when set, is charged one ``liveness`` unit per
+        block visit.
         """
-        nblocks = len(self.labels)
-        if (
-            _np is not None
-            and nblocks >= VECTOR_LIVENESS_MIN_BLOCKS
-        ):
-            self._liveness_vectorized()
-        else:
-            self._liveness_worklist()
-
-    def _liveness_worklist(self) -> None:
-        fn = self.fn
         block_id = self.block_id
         use_map = self.block_use
         def_map = self.block_def
@@ -344,7 +305,7 @@ class FunctionArena:
         live_in = [0] * nblocks
         live_out = [0] * nblocks
 
-        order = [block_id[label] for label in fn.rpo()]
+        order = [block_id[label] for label in self.fn.rpo()]
         order_set = set(order)
         order += [bid for bid in range(nblocks) if bid not in order_set]
         worklist = list(reversed(order))
@@ -370,56 +331,29 @@ class FunctionArena:
                 for j in range(pred_indptr[bid], pred_indptr[bid + 1]):
                     pid = pred_ids[j]
                     if pid not in in_worklist:
-                        worklist.append(int(pid))
-                        in_worklist.add(int(pid))
+                        worklist.append(pid)
+                        in_worklist.add(pid)
 
         self.live_in = live_in
         self.live_out = live_out
 
-    def _liveness_vectorized(self) -> None:
-        """Batched word-level sweep: all blocks advance one transfer-
-        function application per round, with live sets packed as rows of
-        uint64 words and edge propagation done by an unbuffered
-        scatter-OR over the CSR edge list."""
-        nblocks = len(self.labels)
-        nvars = len(self.index)
-        nwords = max(1, (nvars + 63) >> 6)
-        use_m = _pack_rows(self.block_use, nblocks, nwords)
-        def_m = _pack_rows(self.block_def, nblocks, nwords)
-        not_def = ~def_m
-
-        # Edge list (src block -> dst block) from the successor CSR.
-        indptr = _np.asarray(self.succ_indptr)
-        src = _np.repeat(
-            _np.arange(nblocks, dtype=_np.int32), _np.diff(indptr)
-        )
-        dst = _np.asarray(self.succ_ids)
-
-        budget = self.budget
-        live_in = use_m.copy()
-        live_out = _np.zeros_like(use_m)
-        for _ in range(4 * nblocks + 8):  # LFP reached long before this
-            if budget is not None:
-                budget.charge(nblocks, "liveness")
-            new_out = _np.zeros_like(live_out)
-            if len(src):
-                _np.bitwise_or.at(new_out, src, live_in[dst])
-            new_in = use_m | (new_out & not_def)
-            if _np.array_equal(new_out, live_out) and _np.array_equal(
-                new_in, live_in
-            ):
-                break
-            live_out = new_out
-            live_in = new_in
-
-        self.live_in = _unpack_rows(live_in)
-        self.live_out = _unpack_rows(live_out)
-
     # ------------------------------------------------------------------
     # per-instruction liveness (one backward scan per block)
     # ------------------------------------------------------------------
+    def check_current(self, what: str) -> None:
+        """Raise ``RuntimeError`` if the snapshot is retired: after the
+        function was mutated, the flat tables describe dead instructions
+        and anything computed from them is stale."""
+        if self.retired:
+            raise RuntimeError(
+                f"{what} on a retired arena: the function was mutated "
+                f"after this snapshot was taken"
+            )
+
     def scan_block(self, bid: int) -> Tuple[List[int], List[int]]:
-        """(live-out, live-in) bitsets per instruction of block *bid*."""
+        """(live-out, live-in) bitsets per instruction of block *bid*;
+        raises ``RuntimeError`` on a retired arena."""
+        self.check_current("per-instruction liveness scan")
         start = self.block_start[bid]
         end = self.block_start[bid + 1]
         live = self.live_out[bid]
@@ -453,11 +387,7 @@ class FunctionArena:
         instructions and a digest computed from them could address a
         stale cache entry.
         """
-        if self.retired:
-            raise RuntimeError(
-                "block_digest on a retired arena: the function was "
-                "mutated after this snapshot was taken"
-            )
+        self.check_current("block_digest")
         digests = self._block_digests
         if digests is None:
             digests = self._block_digests = [None] * len(self.labels)
@@ -495,36 +425,13 @@ def _mask_of_ids(ids) -> int:
     return out
 
 
-def _pack_rows(masks: List[int], nrows: int, nwords: int):
-    """Pack Python-int bitsets into a [nrows, nwords] uint64 matrix."""
-    out = _np.zeros((nrows, nwords), dtype=_np.uint64)
-    nbytes = nwords * 8
-    frombuffer = _np.frombuffer
-    for r, mask in enumerate(masks):
-        if mask:
-            out[r] = frombuffer(
-                mask.to_bytes(nbytes, "little"), dtype="<u8"
-            )
-    return out
-
-
-def _unpack_rows(matrix) -> List[int]:
-    """Inverse of :func:`_pack_rows` (rows back to Python ints)."""
-    data = _np.ascontiguousarray(matrix).tobytes()
-    nbytes = matrix.shape[1] * 8
-    return [
-        int.from_bytes(data[r * nbytes:(r + 1) * nbytes], "little")
-        for r in range(matrix.shape[0])
-    ]
-
-
 def build_arena(
     fn: Function, index: Optional[VarIndex] = None, budget=None
 ) -> FunctionArena:
     """Lower *fn* into a fresh arena (interning into *index* if given).
 
     *budget*, when given, is charged for every instruction lowered and
-    every liveness worklist/sweep step (see :mod:`repro.core.budget`).
+    every liveness worklist step (see :mod:`repro.core.budget`).
     """
     return FunctionArena(
         fn, index if index is not None else VarIndex(), budget=budget

@@ -15,6 +15,8 @@ stream is too.  Golden-trace tests rely on this.
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -333,9 +335,9 @@ class StageTiming:
 
     ``start`` is a ``time.perf_counter`` value -- meaningful only relative
     to other events of the same process.  ``category`` is ``"pipeline"``
-    for whole-allocation stages and ``"tile"`` for per-tile scheduler
-    tasks; the latter carry the worker ``thread`` name, which is what the
-    Chrome trace sink lays out as rows.
+    for whole-allocation stages and ``"tile"`` for the per-tile work of
+    the phase drivers; ``thread`` names the emitting thread, which is
+    what the Chrome trace sink lays out as rows.
     """
 
     name: str
@@ -344,3 +346,16 @@ class StageTiming:
     duration: float
     thread: str = ""
     tile_id: Optional[int] = None
+
+    @classmethod
+    def for_tile(cls, phase: str, tile_id: int, start: float) -> "StageTiming":
+        """The ``"tile"`` interval of one tile's *phase* work, from
+        *start* (a ``time.perf_counter`` value) until now."""
+        return cls(
+            name=f"{phase}:tile{tile_id}",
+            category="tile",
+            start=start,
+            duration=time.perf_counter() - start,
+            thread=threading.current_thread().name,
+            tile_id=tile_id,
+        )

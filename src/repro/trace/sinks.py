@@ -8,9 +8,9 @@ shipped here cover the common consumers:
 * :class:`JSONLSink` -- one JSON object per line, ``{"type": ..., **fields}``,
   the shape log pipelines ingest.
 * :class:`ChromeTraceSink` -- converts :class:`~repro.trace.events.StageTiming`
-  events into the Chrome trace-event JSON format, so a parallel-scheduler
-  run can be opened in ``chrome://tracing`` / Perfetto with one row per
-  worker thread.
+  events into the Chrome trace-event JSON format, so an allocation can be
+  opened in ``chrome://tracing`` / Perfetto as a timeline of pipeline
+  stages with the per-tile work of both phases nested inside them.
 
 Sinks are called with the tracer's lock held (see
 :class:`~repro.trace.tracer.AllocationTracer.emit`), so they need no
@@ -76,9 +76,9 @@ class ChromeTraceSink:
     trace-event JSON (``{"traceEvents": [...]}``).
 
     Complete events (``"ph": "X"``) are laid out with one trace ``tid``
-    per worker-thread name (plus thread-name metadata events), which is
-    exactly the view that shows the dependency-driven scheduler keeping
-    its workers busy.  :class:`~repro.trace.events.BatchTask` events get
+    per emitting thread name (plus thread-name metadata events), so the
+    per-tile intervals nest under the pipeline stage that ran them.
+    :class:`~repro.trace.events.BatchTask` events get
     the same treatment with one row per batch *worker process* (their
     ``start`` values are already relative to the batch run, a different
     clock than ``StageTiming``'s ``perf_counter``, so the two families

@@ -1,11 +1,12 @@
 """Cross-process reproducibility gate (the PR-2 tentpole).
 
 Allocation output -- assignments, inserted spill code, and simulated
-costs -- must be bit-identical regardless of ``PYTHONHASHSEED`` and of
-the worker count.  Every combination runs in a *fresh subprocess* so each
-interpreter gets its own hash salt; fingerprints are only compared
-between subprocesses (absolute tile ids depend on in-process history, so
-an in-process fingerprint is not comparable to a subprocess one).
+costs -- must be bit-identical regardless of ``PYTHONHASHSEED``.  The
+production driver runs once per hash seed, each in a *fresh subprocess*
+so each interpreter gets its own hash salt; fingerprints are only
+compared between subprocesses (absolute tile ids depend on in-process
+history, so an in-process fingerprint is not comparable to a subprocess
+one).
 
 The workload list is the bench set, including the 428-block random
 program that originally exposed the hash-order sensitivity.
@@ -23,22 +24,11 @@ from repro.determinism import (
 
 WORKLOADS = workload_names()
 
-#: (hash seed, parallel workers); 0 = the sequential driver, so the
-#: matrix spans PYTHONHASHSEED x {sequential, 1 worker, N workers}.
-MATRIX = [
-    (seed, workers)
-    for seed in DEFAULT_HASH_SEEDS
-    for workers in (1, 4)
-] + [(DEFAULT_HASH_SEEDS[0], 0)]
-
-
 @pytest.fixture(scope="module")
 def fingerprints():
     return {
-        (seed, workers): fingerprint_in_subprocess(
-            WORKLOADS, seed, workers=workers
-        )
-        for seed, workers in MATRIX
+        seed: fingerprint_in_subprocess(WORKLOADS, seed)
+        for seed in DEFAULT_HASH_SEEDS
     }
 
 
@@ -47,19 +37,20 @@ def test_bench_set_includes_the_428_block_program():
 
 
 def test_three_distinct_hash_seeds_in_matrix():
-    assert len(set(seed for seed, _ in MATRIX)) >= 3
+    assert len(set(DEFAULT_HASH_SEEDS)) >= 3
 
 
+# The test id predates the removal of the thread scheduler, whose worker
+# counts were the matrix's second axis.
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_bit_identical_across_seeds_and_workers(fingerprints, workload):
-    baseline_key = MATRIX[0]
-    baseline = fingerprints[baseline_key][workload]
+    baseline_seed = DEFAULT_HASH_SEEDS[0]
+    baseline = fingerprints[baseline_seed][workload]
     # Sanity: the fingerprint actually covers program, spills and costs.
     assert set(baseline) >= {"program_sha256", "spilled", "costs"}
-    for key, run in fingerprints.items():
+    for seed, run in fingerprints.items():
         assert run[workload] == baseline, (
-            f"{workload}: (seed={key[0]}, workers={key[1]}) diverges from "
-            f"(seed={baseline_key[0]}, workers={baseline_key[1]}):\n"
+            f"{workload}: seed={seed} diverges from seed={baseline_seed}:\n"
             f"baseline: {json.dumps(baseline, sort_keys=True)}\n"
             f"got:      {json.dumps(run[workload], sort_keys=True)}"
         )

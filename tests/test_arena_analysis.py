@@ -1,10 +1,10 @@
 """Differential tests for the flat-arena analysis core.
 
-The cold path lowers each function once into a :class:`FunctionArena`
-(flat instruction/def/use tables over the interned ``VarIndex``, CSR
-block adjacency) and runs liveness as word-level bitset sweeps over it;
-``build_interference`` then consumes the arena's per-instruction tables
-directly (``liveness.arena`` engages the fast path).  The string-set
+Every liveness computation lowers the function once into a
+:class:`FunctionArena` (flat instruction/def/use tables over the interned
+``VarIndex``, CSR block adjacency) and solves it with a word-level bitset
+worklist; ``build_interference`` then consumes the arena's per-instruction
+tables directly (through ``liveness.arena``).  The string-set
 oracle in :mod:`repro.analysis.reference` is the seed algorithm,
 preserved verbatim as the differential reference -- every result below
 must match it exactly, not approximately.
@@ -15,6 +15,7 @@ handcrafted edge cases the fuzzer reaches rarely -- irreducible
 unreachable from the entry.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -78,18 +79,6 @@ def _assert_interference_matches(fn, labels=None, relevant=None):
 def test_arena_liveness_equals_oracle(seed):
     """Arena bitset sweeps produce exactly the oracle's frozensets."""
     _assert_liveness_matches(random_program(seed))
-
-
-@given(seed=SEEDS)
-@COMMON
-def test_arena_liveness_equals_nonarena_bitset(seed):
-    """Both bitset paths (arena and per-function dict walk) agree --
-    guards against the two lowerings drifting apart."""
-    fn = random_program(seed)
-    arena_lv = _arena_liveness(fn)
-    plain_lv = compute_liveness(fn)
-    assert arena_lv.live_in == plain_lv.live_in
-    assert arena_lv.live_out == plain_lv.live_out
 
 
 @given(seed=SEEDS)
@@ -313,33 +302,39 @@ def test_arena_temp_node_differential_is_exercised():
 
 
 # ----------------------------------------------------------------------
-# tiny-function fast path: list CSR (worklist) vs numpy CSR (vectorized)
+# retired and foreign arenas
 # ----------------------------------------------------------------------
 
-def test_small_function_list_csr_matches_vectorized(monkeypatch):
-    """Functions below ``VECTOR_LIVENESS_MIN_BLOCKS`` keep plain-list CSR
-    and solve liveness with the scalar worklist; forcing the threshold to
-    1 builds numpy CSR and runs the vectorized sweep.  Same fixed point
-    either way."""
-    import pytest
+def test_compute_liveness_runs_on_an_arena_of_the_function():
+    fn = random_program(3)
+    assert compute_liveness(fn).arena.fn is fn
 
-    from repro.perf import arena as arena_mod
 
-    if arena_mod._np is None:
-        pytest.skip("numpy unavailable")
-    for seed in (0, 7, 23, 91):
-        fn = random_program(seed)
-        assert len(fn.blocks) < arena_mod.VECTOR_LIVENESS_MIN_BLOCKS
+def test_retired_arena_refuses_instruction_scans():
+    """After ``retire`` (the allocator's pre-rewrite step) the flat tables
+    describe dead instructions: a per-instruction liveness scan and an
+    interference build over them raise instead of answering stale."""
+    fn = random_program(5)
+    liveness = compute_liveness(fn)
+    liveness.arena.retire()
+    label = next(iter(fn.blocks))
+    with pytest.raises(RuntimeError, match="retired arena"):
+        liveness.instr_live_out_bits(label)
+    with pytest.raises(RuntimeError, match="retired arena"):
+        liveness.instr_live_in(label)
+    with pytest.raises(RuntimeError, match="retired arena"):
+        build_interference(fn, liveness)
 
-        plain = build_arena(fn)
-        assert isinstance(plain.succ_indptr, list)
-        plain.compute_liveness()
 
-        monkeypatch.setattr(arena_mod, "VECTOR_LIVENESS_MIN_BLOCKS", 1)
-        vec = build_arena(fn)
-        assert not isinstance(vec.succ_indptr, list)
-        vec.compute_liveness()
-        monkeypatch.undo()
+def test_cfg_mutation_retires_the_arena():
+    fn = random_program(5)
+    liveness = compute_liveness(fn)
+    fn.invalidate_caches()
+    with pytest.raises(RuntimeError, match="retired arena"):
+        liveness.instr_live_out_bits(next(iter(fn.blocks)))
 
-        assert plain.live_in == vec.live_in
-        assert plain.live_out == vec.live_out
+
+def test_interference_on_a_foreign_arena_raises():
+    fn = random_program(5)
+    with pytest.raises(RuntimeError, match="liveness was computed for"):
+        build_interference(fn.clone(), compute_liveness(fn))

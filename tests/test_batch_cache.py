@@ -1,8 +1,8 @@
 """Property tests for the content-addressed allocation cache.
 
 Covers the serialization format (round-trip, version rejection), the LRU
-and disk layers, the invalidation key (semantic config changes miss,
-scheduling-only changes hit), single-function invalidation, and the
+and disk layers, the invalidation key (semantic config, machine and
+prepare-option changes miss), single-function invalidation, and the
 cold-vs-warm bit-identity guarantee across ``PYTHONHASHSEED`` values.
 """
 
@@ -165,18 +165,6 @@ class TestInvalidationKey:
             HierarchicalConfig(), self.MACHINE, rename=False
         ) != base
 
-    def test_scheduling_knobs_do_not_invalidate(self):
-        # parallel/parallel_workers/parallel_min_tiles never change the
-        # produced allocation (the determinism gate proves it), so they
-        # must not fragment the cache.
-        base = invalidation_key(HierarchicalConfig(), self.MACHINE)
-        assert invalidation_key(
-            HierarchicalConfig(
-                parallel=True, parallel_workers=7, parallel_min_tiles=1
-            ),
-            self.MACHINE,
-        ) == base
-
     def test_profile_guided_config_is_uncacheable(self):
         freq = estimate_frequencies(dot())
         with pytest.raises(UncacheableConfigError):
@@ -245,9 +233,7 @@ class TestCrossSeedBitIdentity:
         across PYTHONHASHSEED {0, 1, 12345} (fresh interpreter each)."""
         names = ["seq_loops_100"]
         runs = {
-            seed: fingerprint_in_subprocess(
-                names, seed, workers=0, batch_workers=0
-            )
+            seed: fingerprint_in_subprocess(names, seed, batch_workers=0)
             for seed in ("0", "1", "12345")
         }
         base = runs["0"][names[0]]

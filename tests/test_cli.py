@@ -177,18 +177,25 @@ class TestTrace:
         types = {json.loads(line)["type"] for line in lines}
         assert "TileColored" in types and "BoundaryAction" in types
 
+    # The test id predates the removal of ``trace --workers``; the
+    # sequential drivers now emit the per-tile rows it checks.
     def test_parallel_with_chrome_and_timings(self, figure1_file, tmp_path):
         import json
 
-        chrome = tmp_path / "sched.json"
+        chrome = tmp_path / "timeline.json"
         code, text = run_cli([
             "trace", figure1_file, "--registers", "4",
-            "--workers", "2", "--chrome", str(chrome), "--timings",
+            "--chrome", str(chrome), "--timings",
         ])
         assert code == 0
         assert "## Stage timings" in text
+        assert "phase1 tiles" in text and "phase2 tiles" in text
         doc = json.loads(chrome.read_text())
-        assert any(e["ph"] == "X" for e in doc["traceEvents"])
+        tiles = [e for e in doc["traceEvents"]
+                 if e["ph"] == "X" and e["cat"] == "tile"]
+        phase1 = [e for e in tiles if e["name"].startswith("phase1:")]
+        phase2 = [e for e in tiles if e["name"].startswith("phase2:")]
+        assert phase1 and len(phase1) == len(phase2)
 
     def test_trace_does_not_require_inputs(self, figure1_file):
         # Unlike run/allocate, trace only allocates -- no simulation, so

@@ -53,3 +53,42 @@ def test_walkthrough_is_marked_generated():
     with open(path, encoding="utf-8") as fh:
         head = fh.read(300)
     assert "DO NOT EDIT BY HAND" in head
+
+
+def _check_docs_module():
+    import importlib.util
+
+    path = os.path.join(REPO_ROOT, "docs", "check_docs.py")
+    spec = importlib.util.spec_from_file_location("check_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_named_anchor_must_land_on_the_definition():
+    check = _check_docs_module().check_named_anchor
+    path = "src/repro/perf/arena.py"
+    with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = next(
+        i + 1 for i, text in enumerate(lines)
+        if text.startswith("def build_arena(")
+    )
+    assert check(path, line, "build_arena")
+    assert not check(path, line + 1, "build_arena")
+    assert not check(path, line, "FunctionArena")
+    assert not check(path, len(lines) + 1, "build_arena")
+
+
+def test_named_anchor_allows_one_decorator_line():
+    check = _check_docs_module().check_named_anchor
+    path = "src/repro/perf/arena.py"
+    with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = next(
+        i + 1 for i, text in enumerate(lines)
+        if text.strip() == "def retired(self) -> bool:"
+    )
+    assert lines[line - 2].strip() == "@property"
+    assert check(path, line - 1, "retired")
+    assert check(path, line, "FunctionArena.retired")

@@ -156,24 +156,6 @@ class TestAblationsRun:
             )
 
 
-class TestParallelMode:
-    def test_parallel_matches_sequential(self):
-        machine = Machine.simple(4)
-        for workload in all_kernel_workloads(5)[:6]:
-            seq = compile_function(
-                workload, HierarchicalAllocator(), machine
-            )
-            par = compile_function(
-                workload,
-                HierarchicalAllocator(
-                    HierarchicalConfig(parallel=True, parallel_min_tiles=1)
-                ),
-                machine,
-            )
-            assert seq.spill_refs == par.spill_refs
-            assert seq.allocated_run.returned == par.allocated_run.returned
-
-
 class TestProfileGuided:
     def test_profile_frequencies_accepted(self):
         from repro.analysis.frequency import frequencies_from_profile

@@ -11,7 +11,8 @@ import re
 
 import pytest
 
-from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.core import HierarchicalAllocator
+from repro.core.incremental import TileCacheStore
 from repro.core.spill_code import _boundary_case
 from repro.core.summary import MEM
 from repro.ir import format_function
@@ -261,13 +262,12 @@ class TestSinks:
             d["action"] in BOUNDARY_ACTIONS for d in boundary
         )
 
+    # The test id predates the removal of the thread scheduler; the
+    # sequential drivers now emit the per-tile rows it checks.
     def test_chrome_trace_on_parallel_run(self, tmp_path):
-        path = tmp_path / "sched.json"
+        path = tmp_path / "timeline.json"
         tracer = AllocationTracer([ChromeTraceSink(str(path))])
-        config = HierarchicalConfig(
-            parallel=True, parallel_workers=2, parallel_min_tiles=1
-        )
-        allocator = HierarchicalAllocator(config, tracer=tracer)
+        allocator = HierarchicalAllocator(tracer=tracer)
         allocator.allocate(prepare(nested_cond()), Machine.simple(4))
         tracer.close()
 
@@ -278,8 +278,14 @@ class TestSinks:
         assert metadata and complete
         # One named row per thread that emitted a timing.
         assert {m["name"] for m in metadata} == {"thread_name"}
-        tile_tasks = [e for e in complete if e["cat"] == "tile"]
-        assert tile_tasks
+        # Every tile is timed once per phase, phase 1 in postorder and
+        # phase 2 in preorder.
+        tree = allocator.last_context.tree
+        tile_rows = [e["name"] for e in complete if e["cat"] == "tile"]
+        assert tile_rows == (
+            [f"phase1:tile{t.tid}" for t in tree.postorder()]
+            + [f"phase2:tile{t.tid}" for t in tree.preorder()]
+        )
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in complete)
 
     def test_memory_sink_of_type(self):
@@ -320,14 +326,13 @@ class TestTracingIsObservational:
     @pytest.mark.parametrize(
         "name,factory,registers", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
-    @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
-    def test_traced_equals_untraced(self, name, factory, registers, parallel):
-        config = HierarchicalConfig(
-            parallel=parallel, parallel_workers=2 if parallel else None
-        )
-
+    @pytest.mark.parametrize("driver", ["seq", "incremental"])
+    def test_traced_equals_untraced(self, name, factory, registers, driver):
         def fingerprint(tracer):
-            allocator = HierarchicalAllocator(config, tracer=tracer)
+            store = TileCacheStore() if driver == "incremental" else None
+            allocator = HierarchicalAllocator(
+                tracer=tracer, tile_store=store
+            )
             allocator.allocate(prepare(factory()), Machine.simple(registers))
             out = allocator.last_context.fn
             idx = tile_index(allocator)  # tile ids are process-global
