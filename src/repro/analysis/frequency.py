@@ -16,12 +16,11 @@ trivially incorporated".  This module provides both sources:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy
 
-from repro.analysis.dominators import compute_dominators
 from repro.analysis.loops import build_loop_forest
 from repro.ir.function import Function
 
@@ -50,12 +49,6 @@ class FrequencyInfo:
 
     def prob_block(self, label: str) -> float:
         return self.block_freq.get(label, 0.0)
-
-    def prob_edge(self, edge: Tuple[str, str]) -> float:
-        return self.edge_freq.get(edge, 0.0)
-
-    def with_block(self, label: str, freq: float) -> None:
-        self.block_freq[label] = freq
 
 
 def _branch_probabilities(fn: Function) -> Dict[Tuple[str, str], float]:

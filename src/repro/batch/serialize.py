@@ -37,7 +37,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import HierarchicalConfig
 from repro.ir.printer import format_function
@@ -250,18 +250,34 @@ class AllocationRecord:
     tile_fingerprints: Tuple[str, ...] = ()
 
     def fingerprint_dict(self) -> Dict[str, object]:
-        """The ``repro.determinism`` fingerprint view of this record --
-        identical shape (and, for an honest cache, identical content) to
-        :func:`repro.determinism.allocation_fingerprint`."""
-        out: Dict[str, object] = {
-            "workload": self.function,
-            "blocks": self.blocks,
-            "program_sha256": self.allocated_sha256,
-            "spilled": list(self.spilled),
-        }
-        if self.costs is not None:
-            out["costs"] = dict(self.costs)
-        return out
+        """The ``repro.determinism`` fingerprint view of this record."""
+        return fingerprint_view(
+            self.function, self.blocks, self.allocated_sha256,
+            self.spilled, self.costs,
+        )
+
+
+def fingerprint_view(
+    function: str,
+    blocks: int,
+    allocated_sha256: str,
+    spilled: Sequence[str],
+    costs: Optional[Mapping[str, int]],
+) -> Dict[str, object]:
+    """The ``repro.determinism`` fingerprint: the allocated program's hash,
+    its spilled-variable set and (when it was simulated) the dynamic cost
+    counters.  The one place the fingerprint's keys are spelled --
+    :meth:`AllocationRecord.fingerprint_dict` and the service's wire
+    payloads both go through it."""
+    out: Dict[str, object] = {
+        "workload": function,
+        "blocks": blocks,
+        "program_sha256": allocated_sha256,
+        "spilled": list(spilled),
+    }
+    if costs is not None:
+        out["costs"] = dict(costs)
+    return out
 
 
 def record_to_dict(record: AllocationRecord) -> Dict[str, object]:

@@ -51,11 +51,16 @@ from repro.allocators import (
 )
 from repro.analysis.frequency import frequencies_from_profile
 from repro.core import HierarchicalAllocator, HierarchicalConfig
-from repro.ir import format_function, parse_function, validate_function
+from repro.ir import format_function
 from repro.machine.simulator import SimulationError, simulate
 from repro.machine.target import Machine
 from repro.perf.timers import StageTimers
-from repro.pipeline import Workload, compile_function, prepare
+from repro.pipeline import (
+    Workload,
+    compile_function,
+    load_function_source,
+    prepare,
+)
 from repro.tiles import build_tile_tree
 from repro.trace import (
     AllocationTracer,
@@ -96,24 +101,9 @@ def _parse_arrays(pairs: Sequence[str]) -> Dict[str, List[int]]:
 
 def _load(path: str, lang: str = "auto"):
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    if lang == "auto":
-        # Textual IR headers carry "start=<label>"; MiniLang never does.
-        first = next(
-            (ln for ln in text.splitlines() if ln.strip()), ""
-        )
-        lang = "ir" if "start=" in first else "minilang"
-    if lang == "minilang":
-        from repro.minilang import compile_source
-
-        fn = compile_source(text)
-    else:
-        fn = parse_function(text)
-    validate_function(fn)
-    return fn
+        return load_function_source(sys.stdin.read(), lang)
+    with open(path) as fh:
+        return load_function_source(fh.read(), lang)
 
 
 def _add_io_args(parser: argparse.ArgumentParser) -> None:

@@ -38,8 +38,6 @@ class HierarchicalConfig:
             profile-guided allocation.
         max_tile_width: bound on conditional-tile width forwarded to tile
             construction.
-        loop_tiles_only: alias ablation -- force ``conditional_tiles=False``
-            at tile construction (kept separate so benches can name it).
     """
 
     conditional_tiles: bool = True

@@ -63,7 +63,6 @@ from repro.core.phase1 import allocate_tile
 from repro.core.phase2 import bind_tile
 from repro.core.summary import MEM, TileAllocation, TileMetrics
 from repro.graph.interference import InterferenceGraph
-from repro.ir.printer import format_instr
 from repro.machine.target import Machine
 from repro.tiles.tile import Tile
 from repro.trace.events import StageTiming, TileCacheHit
@@ -93,25 +92,6 @@ def tile_invalidation_key(config: HierarchicalConfig, machine: Machine) -> str:
 # ----------------------------------------------------------------------
 # fingerprints
 # ----------------------------------------------------------------------
-def _block_digest(ctx: FunctionContext, label: str) -> str:
-    """Canonical digest of one block: label, successor list, and per
-    instruction its uid, printed text and clobbers.  Served by the arena
-    (which memoizes it per block) when one is attached; the fallback
-    walks the block objects with the identical framing."""
-    arena = ctx.arena
-    if arena is not None and not arena.retired:
-        return arena.block_digest(arena.block_id[label])
-    block = ctx.fn.blocks[label]
-    h = sha256()
-    h.update(block.label.encode())
-    h.update(("->" + ",".join(block.succ_labels)).encode())
-    for instr in block.instrs:
-        h.update(f"\n{instr.uid}|{format_instr(instr)}".encode())
-        if instr.clobbers:
-            h.update(("!" + ",".join(instr.clobbers)).encode())
-    return h.hexdigest()
-
-
 def tile_fingerprint(
     ctx: FunctionContext,
     tile: Tile,
@@ -158,11 +138,12 @@ def tile_fingerprint(
 
     own = sorted(tile.own_blocks())
     live_out = ctx.liveness.live_out
+    arena = ctx.arena
     for label in own:
         upd(b"B ")
         upd(label.encode())
         upd(b" ")
-        upd(_block_digest(ctx, label).encode())
+        upd(arena.block_digest(arena.block_id[label]).encode())
         upd(f" {ctx.block_freq(label).hex()} ".encode())
         upd(",".join(sorted(live_out[label])).encode())
         upd(b"\n")
@@ -450,11 +431,14 @@ def run_phase1_incremental(
     """Phase 1 with per-tile memoization: postorder walk, fingerprint
     each tile once its children are resolved, reuse cached summaries
     verbatim, compute and store the rest."""
+    budget = ctx.budget
     tracer = ctx.tracer
     state = IncrementalState(allocations={}, fingerprints={})
     allocations = state.allocations
     fps = state.fingerprints
     for tile in ctx.tree.postorder():
+        if budget is not None:
+            budget.charge(1, "tiles")
         start = time.perf_counter()
         fp = tile_fingerprint(ctx, tile, allocations, fps, invalidation)
         fps[tile.tid] = fp
@@ -489,9 +473,12 @@ def run_phase2_incremental(
     fingerprint *and* parent interface both match a cached overlay takes
     the recorded bindings verbatim, everything else binds fresh (cloning
     the shared pristine graph first) and records its overlay."""
+    budget = ctx.budget
     tracer = ctx.tracer
     allocations = state.allocations
     for tile in ctx.tree.preorder():
+        if budget is not None:
+            budget.charge(1, "tiles")
         start = time.perf_counter()
         alloc = allocations[tile.tid]
         fp = state.fingerprints[tile.tid]

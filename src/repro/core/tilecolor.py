@@ -320,10 +320,10 @@ def _add_temp_nodes(
     The arena path walks only blocks whose referenced-variable mask
     intersects the newly spilled set, and within them only instructions
     whose use/def bitmasks do, so spill-free regions cost one word AND
-    per block.  The object path (a context without an arena) walks every
-    instruction like the original implementation; it is the reference
-    the temp-node differential in ``tests/test_arena_analysis.py``
-    compares the arena path against.
+    per block.  The object path walks every instruction like the original
+    implementation; it is the reference the temp-node differential in
+    ``tests/test_arena_analysis.py`` compares the arena path against, by
+    unsetting ``ctx.arena`` around one call.
     """
     added: Set[str] = set()
     if not new_vars:

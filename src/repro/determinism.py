@@ -7,23 +7,21 @@ module is the proof harness:
 * :func:`allocation_fingerprint` compiles one workload end-to-end and
   condenses everything observable -- the allocated program text, the set
   of spilled variables, and the simulator's dynamic cost counters -- into
-  a small JSON-friendly dict;
+  a small JSON-friendly dict (:meth:`AllocationRecord.fingerprint_dict`);
+* :data:`MODES` is the table of other paths to the same allocation --
+  the batch engine's cold and cached passes, the HTTP service, the
+  per-tile incremental replay and the fuel-budgeted run.  Each mode
+  returns, per workload, a fingerprint that must equal the direct one and
+  a section that joins the output, so one loop compares them all;
 * the ``fingerprint`` CLI command prints those dicts for a list of
   workloads, so a *fresh interpreter* can be asked for its view;
 * the ``check`` CLI command re-runs ``fingerprint`` in subprocesses under
   several distinct ``PYTHONHASHSEED`` values and fails loudly on any
-  divergence;
-* the ``--incremental`` flag extends both commands with the memoization
-  proof: allocate each workload with a tile store attached, apply a
-  deterministic single-block edit, re-allocate warm (clean subtrees come
-  from the store) and compare bit-for-bit against a fresh full
-  allocation of the edited function -- with the per-tile reuse counters
-  joining the fingerprint, so a combination that silently recomputed
-  everything (or reused a stale tile) fails the check.
+  divergence.
 
-``tests/determinism/``, ``benchmarks/bench_determinism.py`` and the CI
-determinism gate all drive the same code paths, so "deterministic" means
-one thing everywhere.
+``tests/determinism/``, ``tests/test_golden.py``,
+``benchmarks/bench_determinism.py`` and the CI determinism gates all drive
+the same code paths, so "deterministic" means one thing everywhere.
 
 Tile ids and instruction uids come from process-global counters, but the
 allocator renumbers both on its private clone before any derived name is
@@ -35,19 +33,21 @@ functions of (text, config, machine), not of process history.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.batch.serialize import fingerprint_view
+from repro.batch.worker import compute_record
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.budget import BudgetLimits
 from repro.ir.function import Function
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
-from repro.pipeline import Workload, compile_function
+from repro.pipeline import Workload, prepare
 from repro.workloads.generators import random_program
 from repro.workloads.kernels import sequential_loops
 
@@ -61,6 +61,8 @@ _ARRAYS = {
     "C": [2, 7, 1, 8, 2, 8, 1, 8],
 }
 _ARGS = {"n": 6}
+
+Fingerprint = Dict[str, object]
 
 
 def _bench_workloads() -> List[Tuple[str, Callable[[], Function]]]:
@@ -92,11 +94,18 @@ def build_workload(name: str) -> Workload:
     )
 
 
+def _record(workload: Workload, machine: Machine, **kwargs):
+    """:func:`compute_record` of *workload*'s in-memory function under the
+    default config: ``(record, stage_times, tile_cache)``."""
+    return compute_record(
+        workload.label(), workload.fn, HierarchicalConfig(), machine,
+        args=workload.args, arrays=workload.arrays, **kwargs,
+    )
+
+
 def allocation_fingerprint(
-    workload: Workload,
-    config: Optional[HierarchicalConfig] = None,
-    machine: Optional[Machine] = None,
-) -> Dict[str, object]:
+    workload: Workload, machine: Optional[Machine] = None
+) -> Fingerprint:
     """Compile *workload* end-to-end and fingerprint the result.
 
     The fingerprint covers everything the determinism guarantee promises:
@@ -106,27 +115,8 @@ def allocation_fingerprint(
     program differentially against the original, so a fingerprint is only
     produced for a *correct* allocation.
     """
-    machine = machine or Machine.simple(8)
-    allocator = HierarchicalAllocator(config or HierarchicalConfig())
-    result = compile_function(workload, allocator, machine)
-    return _result_fingerprint(workload.label(), result)
-
-
-def _result_fingerprint(label: str, result) -> Dict[str, object]:
-    """The determinism fingerprint of one ``compile_function`` result."""
-    text = format_function(result.fn)
-    return {
-        "workload": label,
-        "blocks": len(result.fn.blocks),
-        "program_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "spilled": sorted(result.stats.spilled_vars),
-        "costs": {
-            "spill_loads": result.allocated_run.spill_loads,
-            "spill_stores": result.allocated_run.spill_stores,
-            "moves": result.allocated_run.register_moves,
-            "program_refs": result.allocated_run.program_memory_refs,
-        },
-    }
+    record, _, _ = _record(workload, machine or Machine.simple(8))
+    return record.fingerprint_dict()
 
 
 def edit_one_block(fn: Function) -> str:
@@ -156,95 +146,41 @@ def edit_one_block(fn: Function) -> str:
     return label
 
 
-def incremental_fingerprints(
-    names: Sequence[str],
-    registers: int = 8,
-) -> Dict[str, Dict[str, object]]:
-    """The per-tile memoization proof for *names* (tentpole determinism).
-
-    For each workload: allocate cold with a tile store attached (filling
-    it), apply the deterministic single-block edit of
-    :func:`edit_one_block`, re-allocate *warm* against the same store,
-    and allocate the same edited function *fresh* with no store.  Raises
-    unless the warm incremental result is bit-identical to the fresh full
-    one AND the reuse counters prove clean subtrees actually came from
-    the store (at least one subtree reused, at least one dirty tile
-    recomputed).  Returns, per workload, the cold/warm/full fingerprints
-    plus the reuse counters -- all deterministic, so they join the
-    cross-process comparison matrix.
-    """
-    from repro.core.incremental import TileCacheStore
-
-    machine = Machine.simple(registers)
-    out: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        base = build_workload(name)
-        edited = build_workload(name)
-        edited_label = edit_one_block(edited.fn)
-
-        store = TileCacheStore()
-        allocator = HierarchicalAllocator(tile_store=store)
-        cold = compile_function(base, allocator, machine)
-        base_fp = _result_fingerprint(base.label(), cold)
-        warm = compile_function(edited, allocator, machine)
-        counters = dict(allocator.last_tile_cache or {})
-        warm_fp = _result_fingerprint(edited.label(), warm)
-
-        fresh = build_workload(name)
-        edit_one_block(fresh.fn)
-        full_fp = allocation_fingerprint(fresh, machine=machine)
-
-        if warm_fp != full_fp:
-            raise RuntimeError(
-                f"{name}: warm incremental re-allocation diverges from the "
-                f"fresh full allocation of the same edit:\n"
-                f"  full:        {json.dumps(full_fp, sort_keys=True)}\n"
-                f"  incremental: {json.dumps(warm_fp, sort_keys=True)}"
-            )
-        if counters.get("subtrees_reused", 0) < 1:
-            raise RuntimeError(
-                f"{name}: warm re-allocation reused no clean subtree "
-                f"(counters: {counters}) -- the tile cache is not hitting"
-            )
-        if counters.get("tile_misses", 0) < 1:
-            raise RuntimeError(
-                f"{name}: warm re-allocation recomputed nothing "
-                f"(counters: {counters}) -- the edit did not dirty a tile"
-            )
-        out[name] = {
-            "edited_block": edited_label,
-            "base": base_fp,
-            "full": full_fp,
-            "incremental": warm_fp,
-            "reuse": counters,
-        }
-    return out
+def _diverged(name: str, what: str, expected: object, got: object) -> str:
+    return (
+        f"{name}: {what}:\n"
+        f"  expected: {json.dumps(expected, sort_keys=True)}\n"
+        f"  got:      {json.dumps(got, sort_keys=True)}"
+    )
 
 
-def batch_fingerprints(
-    names: Sequence[str],
-    batch_workers: int = 0,
-    registers: int = 8,
-) -> Dict[str, Dict[str, object]]:
-    """Cold- and warm-cache batch-engine fingerprints for *names*.
+# ----------------------------------------------------------------------
+# modes: other paths to the direct allocation
+# ----------------------------------------------------------------------
+#: What a mode returns per workload: the fingerprint that must equal the
+#: direct one, and the section the mode adds to the workload's output.
+ModeResult = Dict[str, Tuple[Fingerprint, object]]
 
-    Runs the module twice through one :class:`~repro.batch.BatchEngine`
-    (first pass computes -- in worker processes when ``batch_workers > 0``
-    -- and fills the content-addressed cache; second pass must be served
-    entirely from it) and returns, per workload, the determinism
-    fingerprint of both passes.  Raises if the warm pass missed the cache
-    or any record diverged, so a passing ``check`` really does cover the
-    cached path bit-for-bit.
+
+def _batch_mode(
+    names: Sequence[str], registers: int, workers: int
+) -> ModeResult:
+    """Cold- and warm-cache passes through one batch engine.
+
+    The first pass computes (in *workers* pool processes, or in-process
+    for 0) and fills the content-addressed cache; the second must be
+    served entirely from it, and every cached record must equal the
+    computed one.
     """
     from repro.batch import BatchConfig, BatchEngine
 
     workloads = [build_workload(name) for name in names]
-    batch = BatchConfig(batch_workers=batch_workers, registers=registers)
+    batch = BatchConfig(batch_workers=workers, registers=registers)
     with BatchEngine(batch=batch) as engine:
         cold = engine.allocate_module(workloads)
         warm = engine.allocate_module(workloads)
 
-    out: Dict[str, Dict[str, object]] = {}
+    out: ModeResult = {}
     for name, c, w in zip(names, cold, warm):
         if c.cached:
             raise RuntimeError(f"{name}: cold batch pass hit the cache")
@@ -254,33 +190,29 @@ def batch_fingerprints(
             raise RuntimeError(
                 f"{name}: cached record diverges from computed record"
             )
-        out[name] = {
-            "cold": c.record.fingerprint_dict(),
-            "warm": w.record.fingerprint_dict(),
+        cold_fp = c.record.fingerprint_dict()
+        out[name] = cold_fp, {
+            "cold": cold_fp, "warm": w.record.fingerprint_dict(),
         }
     return out
 
 
-def service_fingerprints(
-    names: Sequence[str],
-    registers: int = 8,
-) -> Dict[str, Dict[str, object]]:
-    """Fingerprints of *names* served over HTTP by the allocation service.
+def _service_mode(
+    names: Sequence[str], registers: int, _on: bool
+) -> ModeResult:
+    """The workloads served twice over HTTP by a live allocation service.
 
     Starts a real :class:`~repro.service.AllocationService` on a loopback
-    ephemeral port, submits the workloads twice through the real client
-    (functions as text, simulator inputs attached) and rebuilds the
-    determinism fingerprint from the wire payloads.  Raises if any
-    request fails, if the warm pass missed the service's shared cache, or
-    if cold and warm payloads diverge -- so a passing ``check --service``
-    proves the serving layer transports allocations bit-for-bit.
+    ephemeral port and submits the workloads through the real client
+    (functions as text, simulator inputs attached).  Both requests must
+    succeed, the warm one entirely from the service's shared cache, and
+    the cold wire payloads must equal the warm ones.
     """
     import asyncio
 
     from repro.batch import BatchConfig
     from repro.service import AllocationService, ServiceClient, ServiceConfig
 
-    workloads = [build_workload(name) for name in names]
     specs = [
         {
             "text": format_function(workload.fn),
@@ -288,7 +220,7 @@ def service_fingerprints(
             "args": dict(workload.args),
             "arrays": {k: list(v) for k, v in workload.arrays.items()},
         }
-        for workload in workloads
+        for workload in map(build_workload, names)
     ]
 
     async def _serve_and_allocate():
@@ -297,9 +229,10 @@ def service_fingerprints(
         ))
         async with AllocationService(config) as service:
             async with ServiceClient("127.0.0.1", service.port) as client:
-                cold = await client.allocate(specs)
-                warm = await client.allocate(specs)
-                return cold, warm
+                return (
+                    await client.allocate(specs),
+                    await client.allocate(specs),
+                )
 
     cold, warm = asyncio.run(_serve_and_allocate())
     for reply, label in ((cold, "cold"), (warm, "warm")):
@@ -309,16 +242,7 @@ def service_fingerprints(
                 f"{reply.data}"
             )
 
-    def _payload_fingerprint(payload: Dict[str, object]) -> Dict[str, object]:
-        return {
-            "workload": payload["name"],
-            "blocks": payload["blocks"],
-            "program_sha256": payload["allocated_sha256"],
-            "spilled": list(payload["spilled"]),
-            "costs": dict(payload["costs"]),
-        }
-
-    out: Dict[str, Dict[str, object]] = {}
+    out: ModeResult = {}
     for name, c, w in zip(names, cold.data["results"],
                           warm.data["results"]):
         if not (c["ok"] and w["ok"]):
@@ -330,160 +254,189 @@ def service_fingerprints(
             raise RuntimeError(
                 f"{name}: warm served request missed the shared cache"
             )
-        cold_fp = _payload_fingerprint(c)
-        warm_fp = _payload_fingerprint(w)
+        cold_fp, warm_fp = (
+            fingerprint_view(p["name"], p["blocks"], p["allocated_sha256"],
+                             p["spilled"], p["costs"])
+            for p in (c, w)
+        )
         if cold_fp != warm_fp:
-            raise RuntimeError(
-                f"{name}: warm served payload diverges from cold:\n"
-                f"  cold: {json.dumps(cold_fp, sort_keys=True)}\n"
-                f"  warm: {json.dumps(warm_fp, sort_keys=True)}"
-            )
-        out[name] = cold_fp
+            raise RuntimeError(_diverged(
+                name, "warm served payload diverges from cold",
+                cold_fp, warm_fp,
+            ))
+        out[name] = cold_fp, cold_fp
     return out
 
 
-def budgeted_fingerprints(
-    names: Sequence[str],
-    fuel: int,
-    registers: int = 8,
-) -> Dict[str, Dict[str, object]]:
-    """Fingerprints of *names* allocated under a ``max_fuel`` budget.
+def _incremental_mode(
+    names: Sequence[str], registers: int, _on: bool
+) -> ModeResult:
+    """The per-tile memoization proof.
 
-    Proves the budget layer's determinism contract: charges only count
-    and abort, they never alter decisions, so a budgeted run that
-    completes is bit-identical to the unbudgeted run -- and the fuel
-    spend itself is a pure function of the input.  Each dict carries the
-    full allocation fingerprint plus a ``"budget"`` section (``fuel``,
-    ``spent``, per-counter breakdown), so the cross-process ``check``
-    also fails if two processes *charge* differently, even when they
-    allocate identically.
+    For each workload: allocate cold with a tile store attached (filling
+    it; this is the fingerprint compared with the direct one), apply the
+    single-block edit of :func:`edit_one_block`, re-allocate *warm*
+    against the same store, and allocate the same edit fresh with no
+    store.  The warm result must equal the fresh one, and the reuse
+    counters must show at least one clean subtree served from the store
+    and at least one dirty tile recomputed.  The counters join the
+    section, so the cross-process comparison covers them too.
+    """
+    from repro.core.incremental import TileCacheStore
 
-    *fuel* must be generous enough for every named workload to complete;
-    a workload that exhausts it raises (this is a determinism proof, not
-    the survival harness -- ``benchmarks/bench_guard.py`` owns aborts).
+    machine = Machine.simple(registers)
+    out: ModeResult = {}
+    for name in names:
+        store = TileCacheStore()
+        base, _, _ = _record(build_workload(name), machine, tile_store=store)
+        edited = build_workload(name)
+        edited_label = edit_one_block(edited.fn)
+        warm, _, counters = _record(edited, machine, tile_store=store)
+        counters = dict(counters)
+
+        fresh = build_workload(name)
+        edit_one_block(fresh.fn)
+        full_fp = allocation_fingerprint(fresh, machine)
+        warm_fp = warm.fingerprint_dict()
+        if warm_fp != full_fp:
+            raise RuntimeError(_diverged(
+                name, "warm incremental re-allocation diverges from the "
+                "fresh full allocation of the same edit", full_fp, warm_fp,
+            ))
+        if counters.get("subtrees_reused", 0) < 1:
+            raise RuntimeError(
+                f"{name}: warm re-allocation reused no clean subtree "
+                f"(counters: {counters}) -- the tile cache is not hitting"
+            )
+        if counters.get("tile_misses", 0) < 1:
+            raise RuntimeError(
+                f"{name}: warm re-allocation recomputed nothing "
+                f"(counters: {counters}) -- the edit did not dirty a tile"
+            )
+        base_fp = base.fingerprint_dict()
+        out[name] = base_fp, {
+            "edited_block": edited_label,
+            "base": base_fp,
+            "full": full_fp,
+            "incremental": warm_fp,
+            "reuse": counters,
+        }
+    return out
+
+
+def _budget_mode(
+    names: Sequence[str], registers: int, fuel: int
+) -> ModeResult:
+    """The workloads allocated under a ``max_fuel`` budget of *fuel*.
+
+    Charges only count and abort, they never alter decisions, so a
+    budgeted run that completes must equal the unbudgeted one -- and the
+    fuel spend itself is a pure function of the input, so its counters
+    join the section and two processes that *charge* differently fail the
+    cross-process check even when they allocate identically.  *fuel* must
+    be generous enough for every workload to complete; a run that
+    exhausts it raises (``benchmarks/bench_guard.py`` owns aborts).
     """
     machine = Machine.simple(registers)
-    out: Dict[str, Dict[str, object]] = {}
+    limits = BudgetLimits(max_fuel=fuel)
+    out: ModeResult = {}
     for name in names:
-        allocator = HierarchicalAllocator(
-            budget_limits=BudgetLimits(max_fuel=fuel)
-        )
-        result = compile_function(build_workload(name), allocator, machine)
-        fp = _result_fingerprint(name, result)
-        snap = allocator.last_budget or {}
-        fp["budget"] = {
-            "fuel": fuel,
-            "spent": snap.get("spent"),
-            "counters": snap.get("counters", {}),
+        workload = build_workload(name)
+        record, _, _ = _record(workload, machine, budget_limits=limits)
+        governed = HierarchicalAllocator(budget_limits=limits)
+        governed.allocate(prepare(workload.fn), machine)
+        snap = governed.last_budget
+        out[name] = record.fingerprint_dict(), {
+            "fuel": fuel, "spent": snap["spent"],
+            "counters": snap["counters"],
         }
-        out[name] = fp
     return out
+
+
+@dataclass(frozen=True)
+class Mode:
+    """One table entry: a path to the allocation that must equal the
+    direct one.  ``metavar`` names the flag's integer argument; ``None``
+    makes the flag a switch."""
+
+    run: Callable[[Sequence[str], int, object], ModeResult]
+    help: str
+    metavar: Optional[str] = None
+
+
+#: Every mode, by name.  The name is the CLI flag (``--<name>``), the
+#: keyword of :func:`fingerprint_workloads` and the output section key.
+MODES: Dict[str, Mode] = {
+    "batch": Mode(
+        _batch_mode,
+        "fingerprint via the batch engine (cold pass + warm cache pass) "
+        "with N pool workers (0 = in-process); cached == computed == direct",
+        "N",
+    ),
+    "service": Mode(
+        _service_mode,
+        "round-trip the workloads over HTTP through a live allocation "
+        "service; served payloads must match the direct pipeline",
+    ),
+    "incremental": Mode(
+        _incremental_mode,
+        "run the per-tile memoization proof: edit one block, re-allocate "
+        "warm against the tile store, compare against a fresh full "
+        "allocation of the same edit (reuse counters included)",
+    ),
+    "budget": Mode(
+        _budget_mode,
+        "allocate under a max_fuel budget of FUEL units; the result must "
+        "match the unbudgeted one and the fuel-spend counters join the "
+        "fingerprint",
+        "FUEL",
+    ),
+}
+
+
+def _enabled(modes: Dict[str, object]) -> Dict[str, object]:
+    """The modes switched on in *modes* (``None`` / ``False`` is off);
+    raises :class:`ValueError` on a name :data:`MODES` does not know."""
+    unknown = sorted(set(modes) - set(MODES))
+    if unknown:
+        raise ValueError(
+            f"unknown determinism mode(s) {unknown}; choose from "
+            f"{sorted(MODES)}"
+        )
+    return {
+        name: value for name, value in modes.items()
+        if value is not None and value is not False
+    }
 
 
 def fingerprint_workloads(
-    names: Sequence[str],
-    registers: int = 8,
-    batch_workers: Optional[int] = None,
-    service: bool = False,
-    incremental: bool = False,
-    budget_fuel: Optional[int] = None,
-) -> Dict[str, Dict[str, object]]:
+    names: Sequence[str], registers: int = 8, **modes: object
+) -> Dict[str, Fingerprint]:
     """Fingerprints for *names*, in order, under the default config.
 
-    With *batch_workers* set (``>= 0``), each workload's dict also
-    carries a ``"batch"`` section -- the cold/warm batch-engine
-    fingerprints -- after asserting the cold batch result is identical to
-    the directly-computed fingerprint, so ``check`` compares cached,
-    pooled and direct allocations across all its hash seeds.
-
-    With *service* set, the workloads are additionally round-tripped over
-    HTTP through a live :class:`~repro.service.AllocationService`; each
-    served payload must be bit-identical to the direct fingerprint and
-    joins the dict under ``"service"``.
-
-    With *incremental* set, each workload also runs the edit-and-reuse
-    proof of :func:`incremental_fingerprints`; the cold store-attached
-    fingerprint must match the direct one and the whole section joins the
-    dict under ``"incremental"`` (reuse counters included).
-
-    With *budget_fuel* set, each workload is additionally allocated under
-    a ``max_fuel`` budget of that many units; the budgeted result must be
-    bit-identical to the unbudgeted fingerprint (charges never change
-    decisions) and the fuel-spend section joins the dict under
-    ``"budget"``.
+    Each keyword names a :data:`MODES` entry (``batch=2``,
+    ``service=True``, ``budget=10**8``; ``None`` leaves it off).  Every
+    enabled mode's fingerprint must equal the direct one, and its section
+    joins each workload's dict under the mode's name.
     """
+    enabled = _enabled(modes)
     machine = Machine.simple(registers)
-    prints = {
-        name: allocation_fingerprint(build_workload(name), machine=machine)
+    direct = {
+        name: allocation_fingerprint(build_workload(name), machine)
         for name in names
     }
-    served: Optional[Dict[str, Dict[str, object]]] = None
-    if service:
-        served = service_fingerprints(names, registers=registers)
-        for name in names:
-            if served[name] != prints[name]:
-                raise RuntimeError(
-                    f"{name}: served fingerprint diverges from the direct "
-                    f"pipeline:\n"
-                    f"  direct: {json.dumps(prints[name], sort_keys=True)}\n"
-                    f"  served: {json.dumps(served[name], sort_keys=True)}"
-                )
-    if batch_workers is not None:
-        batched = batch_fingerprints(
-            names, batch_workers=batch_workers, registers=registers
-        )
-        for name in names:
-            if batched[name]["cold"] != prints[name]:
-                raise RuntimeError(
-                    f"{name}: batch-engine fingerprint diverges from the "
-                    f"direct pipeline:\n"
-                    f"  direct: {json.dumps(prints[name], sort_keys=True)}\n"
-                    f"  batch:  "
-                    f"{json.dumps(batched[name]['cold'], sort_keys=True)}"
-                )
-            prints[name]["batch"] = batched[name]
-    if incremental:
-        incr = incremental_fingerprints(names, registers=registers)
-        for name in names:
-            # The batch section may already be attached; compare against
-            # the bare direct fingerprint.
-            bare = {
-                k: v for k, v in prints[name].items() if k != "batch"
-            }
-            if incr[name]["base"] != bare:
-                raise RuntimeError(
-                    f"{name}: cold store-attached allocation diverges from "
-                    f"the direct pipeline:\n"
-                    f"  direct: {json.dumps(bare, sort_keys=True)}\n"
-                    f"  store:  "
-                    f"{json.dumps(incr[name]['base'], sort_keys=True)}"
-                )
-            prints[name]["incremental"] = incr[name]
-    if budget_fuel is not None:
-        budgeted = budgeted_fingerprints(
-            names, budget_fuel, registers=registers
-        )
-        for name in names:
-            bare = {
-                k: v for k, v in prints[name].items()
-                if k not in ("batch", "incremental")
-            }
-            got = {k: v for k, v in budgeted[name].items() if k != "budget"}
-            if got != bare:
-                raise RuntimeError(
-                    f"{name}: budgeted allocation diverges from the "
-                    f"unbudgeted pipeline (charges must never alter "
-                    f"decisions):\n"
-                    f"  unbudgeted: {json.dumps(bare, sort_keys=True)}\n"
-                    f"  budgeted:   {json.dumps(got, sort_keys=True)}"
-                )
-            prints[name]["budget"] = budgeted[name]["budget"]
-    if served is not None:
-        # Attached last: the batch comparison above matches against the
-        # bare direct fingerprint.
-        for name in names:
-            prints[name]["service"] = served[name]
-    return prints
+    out = {name: dict(fp) for name, fp in direct.items()}
+    for mode, value in enabled.items():
+        for name, (fp, section) in MODES[mode].run(
+            names, registers, value
+        ).items():
+            if fp != direct[name]:
+                raise RuntimeError(_diverged(
+                    name, f"{mode} fingerprint diverges from the direct "
+                    f"pipeline", direct[name], fp,
+                ))
+            out[name][mode] = section
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -502,33 +455,21 @@ def fingerprint_in_subprocess(
     names: Sequence[str],
     hash_seed: str,
     registers: int = 8,
-    batch_workers: Optional[int] = None,
-    service: bool = False,
-    incremental: bool = False,
-    budget_fuel: Optional[int] = None,
-) -> Dict[str, Dict[str, object]]:
-    """Run ``fingerprint`` in a fresh interpreter under *hash_seed*."""
+    **modes: object,
+) -> Dict[str, Fingerprint]:
+    """Run ``fingerprint`` in a fresh interpreter under *hash_seed*, with
+    the :data:`MODES` keywords of :func:`fingerprint_workloads`."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = _src_pythonpath()
     cmd = [
-        sys.executable,
-        "-m",
-        "repro.determinism",
-        "fingerprint",
-        "--workloads",
-        ",".join(names),
-        "--registers",
-        str(registers),
+        sys.executable, "-m", "repro.determinism", "fingerprint",
+        "--workloads", ",".join(names), "--registers", str(registers),
     ]
-    if batch_workers is not None:
-        cmd += ["--batch", str(batch_workers)]
-    if service:
-        cmd += ["--service"]
-    if incremental:
-        cmd += ["--incremental"]
-    if budget_fuel is not None:
-        cmd += ["--budget", str(budget_fuel)]
+    for mode, value in _enabled(modes).items():
+        cmd.append(f"--{mode}")
+        if MODES[mode].metavar is not None:
+            cmd.append(str(value))
     proc = subprocess.run(
         cmd, env=env, capture_output=True, text=True, timeout=600
     )
@@ -544,37 +485,20 @@ def cross_process_check(
     names: Sequence[str],
     hash_seeds: Sequence[str] = DEFAULT_HASH_SEEDS,
     registers: int = 8,
-    batch_workers: Optional[int] = None,
-    service: bool = False,
-    incremental: bool = False,
-    budget_fuel: Optional[int] = None,
+    **modes: object,
 ) -> List[str]:
     """Compare fingerprints across every hash seed.
 
-    With *batch_workers* set, each subprocess additionally pushes the
-    module through the batch engine twice (cold compute + warm cache) and
-    the batch fingerprints join the comparison -- one divergent cached
-    byte anywhere in the matrix fails the check.  With *service* set,
-    each subprocess also serves the module over HTTP through a live
-    allocation service and the served payloads join the comparison --
-    one divergent served byte anywhere in the matrix fails the check.
-    With *incremental* set, each subprocess additionally runs the
-    edit-and-reuse proof (warm incremental re-allocation must be
-    bit-identical to a fresh full allocation of the same edit, with the
-    reuse counters in the compared fingerprints).  With *budget_fuel*
-    set, each subprocess additionally allocates under a fuel budget and
-    the spend counters join the comparison -- a process that charges
-    differently fails even if it allocates identically.
+    Each seed runs :func:`fingerprint_in_subprocess` with the same
+    :data:`MODES` keywords, so every enabled mode's section -- cached
+    records, served payloads, reuse counters, fuel spend -- joins the
+    comparison: one divergent byte anywhere in the matrix fails the check.
 
     Returns a list of human-readable mismatch descriptions; empty means
     every hash seed produced bit-identical results.
     """
     runs = {
-        seed: fingerprint_in_subprocess(
-            names, seed, registers=registers,
-            batch_workers=batch_workers, service=service,
-            incremental=incremental, budget_fuel=budget_fuel,
-        )
+        seed: fingerprint_in_subprocess(names, seed, registers, **modes)
         for seed in hash_seeds
     }
     baseline_seed = hash_seeds[0]
@@ -585,12 +509,10 @@ def cross_process_check(
             continue
         for name in names:
             if run[name] != baseline[name]:
-                problems.append(
-                    f"{name}: seed={seed} diverges from "
-                    f"seed={baseline_seed}:\n"
-                    f"  baseline: {json.dumps(baseline[name], sort_keys=True)}\n"
-                    f"  got:      {json.dumps(run[name], sort_keys=True)}"
-                )
+                problems.append(_diverged(
+                    name, f"seed={seed} diverges from seed={baseline_seed}",
+                    baseline[name], run[name],
+                ))
     return problems
 
 
@@ -609,85 +531,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="allocation reproducibility fingerprints",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     fp = sub.add_parser("fingerprint", help="print fingerprints as JSON")
-    fp.add_argument("--workloads", default="all")
-    fp.add_argument("--registers", type=int, default=8)
-    fp.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="also fingerprint via the batch engine (cold + warm cache) "
-        "with N pool workers (0 = in-process)",
-    )
-    fp.add_argument(
-        "--service", action="store_true",
-        help="also round-trip the workloads over HTTP through a live "
-        "allocation service; served payloads must match the direct "
-        "pipeline bit-for-bit",
-    )
-    fp.add_argument(
-        "--incremental", action="store_true",
-        help="also run the per-tile memoization proof: edit one block, "
-        "re-allocate warm against the tile store, compare bit-for-bit "
-        "against a fresh full allocation of the same edit",
-    )
-    fp.add_argument(
-        "--budget", type=int, default=None, metavar="FUEL",
-        help="also allocate each workload under a max_fuel budget of "
-        "FUEL units; the budgeted result must be bit-identical to the "
-        "unbudgeted one and the fuel-spend counters join the fingerprint",
-    )
-
-    ck = sub.add_parser(
-        "check",
-        help="compare fingerprints across hash seeds",
-    )
-    ck.add_argument("--workloads", default="all")
+    ck = sub.add_parser("check", help="compare fingerprints across hash seeds")
     ck.add_argument(
         "--seeds", default=",".join(DEFAULT_HASH_SEEDS),
         help="comma-separated PYTHONHASHSEED values",
     )
-    ck.add_argument("--registers", type=int, default=8)
-    ck.add_argument(
-        "--batch", type=int, default=None, metavar="N",
-        help="include batch-engine cold/warm cache fingerprints (N pool "
-        "workers, 0 = in-process) under every seed",
-    )
-    ck.add_argument(
-        "--service", action="store_true",
-        help="include HTTP-served fingerprints (a live allocation "
-        "service per subprocess) under every seed",
-    )
-    ck.add_argument(
-        "--incremental", action="store_true",
-        help="include the per-tile memoization proof (warm incremental "
-        "== fresh full, reuse counters compared) under every seed",
-    )
-    ck.add_argument(
-        "--budget", type=int, default=None, metavar="FUEL",
-        help="include budgeted-allocation fingerprints (max_fuel=FUEL; "
-        "fuel-spend counters compared) under every seed",
-    )
+    for command in (fp, ck):
+        command.add_argument("--workloads", default="all")
+        command.add_argument("--registers", type=int, default=8)
+        for name, mode in MODES.items():
+            kind = (
+                {"action": "store_true"} if mode.metavar is None
+                else {"type": int, "metavar": mode.metavar}
+            )
+            command.add_argument(
+                f"--{name}", default=None, help=f"also {mode.help}", **kind
+            )
 
     args = parser.parse_args(argv)
     names = _parse_names(args.workloads)
+    modes = {name: getattr(args, name) for name in MODES}
 
     if args.command == "fingerprint":
-        prints = fingerprint_workloads(
-            names, registers=args.registers,
-            batch_workers=args.batch, service=args.service,
-            incremental=args.incremental, budget_fuel=args.budget,
-        )
+        prints = fingerprint_workloads(names, args.registers, **modes)
         json.dump(prints, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return 0
 
     seeds = [s for s in args.seeds.split(",") if s]
-    problems = cross_process_check(
-        names, hash_seeds=seeds,
-        registers=args.registers, batch_workers=args.batch,
-        service=args.service, incremental=args.incremental,
-        budget_fuel=args.budget,
-    )
+    problems = cross_process_check(names, seeds, args.registers, **modes)
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)

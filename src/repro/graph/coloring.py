@@ -86,9 +86,6 @@ class ColoringResult:
     used_colors: List[str]
     stack_order: List[str] = field(default_factory=list)
 
-    def color_of(self, var: str) -> Optional[str]:
-        return self.assignment.get(var)
-
 
 def color_graph(
     graph: InterferenceGraph,

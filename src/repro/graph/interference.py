@@ -10,7 +10,7 @@ paper's replacement for coalescing) put both in one register.
 Internally the graph is **integer-backed**: every node gets a local id and
 the adjacency of a node is a single Python-int bitmask over those ids, so
 edge insertion, degree, and induced subgraphs are word-level operations.
-The string-facing API (``nodes``/``neighbors``/``adjacency``/``edges``) is a
+The string-facing API (``nodes``/``neighbors``/``edges``) is a
 facade materialized from the masks -- hot callers use the id-level accessors
 (``node_ids``/``id_masks``/``id_names``) instead.  Node iteration order is
 insertion order, which construction keeps canonical (never hash-salted);
@@ -39,7 +39,7 @@ class InterferenceGraph:
     """
 
     __slots__ = ("_ids", "_names", "_masks", "_next",
-                 "_version", "_str_adj", "_str_version",
+                 "_version",
                  "_nbr_lists", "_ranks", "_rank_version", "_degs",
                  "_rank_arr", "_rank_arr_version")
 
@@ -49,13 +49,11 @@ class InterferenceGraph:
         self._masks: Dict[int, int] = {}
         self._next = 0
         #: bumped on every mutation; invalidates the version-keyed memos
-        #: (``adjacency``/``name_ranks``).  The neighbour-list and degree
+        #: (``name_ranks``).  The neighbour-list and degree
         #: caches are *not* version-keyed: mutators keep them in sync
         #: incrementally (or drop them to None), so recolor loops that add
         #: a few temp nodes per round never pay a full mask re-decode.
         self._version = 0
-        self._str_adj: Optional[Dict[str, Set[str]]] = None
-        self._str_version = -1
         #: id -> neighbour ids; always consistent with ``_masks`` when not
         #: None (the incremental-maintenance invariant).
         self._nbr_lists: Optional[Dict[int, List[int]]] = None
@@ -449,26 +447,6 @@ class InterferenceGraph:
             self._rank_arr = arr
             self._rank_arr_version = self._version
         return self._rank_arr
-
-    # ------------------------------------------------------------------
-    # string facade
-    # ------------------------------------------------------------------
-    def adjacency(self) -> Dict[str, Set[str]]:
-        """The adjacency as a name-keyed dict of neighbour-name sets,
-        in node insertion order -- treat as read-only.  Materialized from
-        the masks and memoized until the next mutation."""
-        if self._str_adj is None or self._str_version != self._version:
-            out: Dict[str, Set[str]] = {}
-            for var, i in self._ids.items():
-                out[var] = self._neighbor_names(i)
-            self._str_adj = out
-            self._str_version = self._version
-        return self._str_adj
-
-    def copy_adjacency(self) -> Dict[str, Set[str]]:
-        return {
-            var: self._neighbor_names(i) for var, i in self._ids.items()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<InterferenceGraph |V|={len(self)} |E|={self.edge_count()}>"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from repro.ir.instructions import Instr, Opcode, TERMINATORS
 
@@ -56,9 +56,6 @@ class BasicBlock:
             self.instrs.insert(len(self.instrs) - 1, instr)
         else:
             self.instrs.append(instr)
-
-    def prepend(self, instr: Instr) -> None:
-        self.instrs.insert(0, instr)
 
     def insert_before_terminator(self, instrs: Iterable[Instr]) -> None:
         """Insert *instrs* immediately before the terminator (or at the end)."""

@@ -11,7 +11,7 @@ import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.ir.basic_block import BasicBlock
-from repro.ir.instructions import Instr, Opcode
+from repro.ir.instructions import Instr
 
 
 class Function:
@@ -95,9 +95,6 @@ class Function:
     # ------------------------------------------------------------------
     # edges
     # ------------------------------------------------------------------
-    def successors(self, label: str) -> List[str]:
-        return list(self.blocks[label].succ_labels)
-
     def predecessors_map(self) -> Dict[str, List[str]]:
         """Label -> list of predecessor labels (in deterministic order).
 

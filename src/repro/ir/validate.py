@@ -7,8 +7,6 @@ by :mod:`repro.machine.rewrite` (physical-register-only, pressure bounds).
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
 
@@ -76,25 +74,3 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
                 f"unreachable blocks: {sorted(unreachable)}"
             )
 
-
-def check_stop_reachable(fn: Function) -> bool:
-    """True if stop is reachable from start (termination prerequisite)."""
-    return fn.stop_label in fn.reachable()
-
-
-def collect_warnings(fn: Function) -> List[str]:
-    """Non-fatal oddities useful in tests and examples."""
-    warnings: List[str] = []
-    defined = set(fn.params)
-    for block in fn:
-        defined.update(block.defs())
-    for block in fn:
-        for instr in block.instrs:
-            for use in instr.uses:
-                if use not in defined:
-                    warnings.append(
-                        f"{block.label}: use of never-defined variable {use!r}"
-                    )
-    if not check_stop_reachable(fn):
-        warnings.append("stop block unreachable from start")
-    return warnings

@@ -52,7 +52,7 @@ class FunctionArena:
         "succ_indptr", "succ_ids", "pred_indptr", "pred_ids",
         "copy_sites", "live_in", "live_out", "budget",
         "_var_ref_blocks", "_var_def_blocks", "_var_sites", "_retired",
-        "_name_rank", "_var_ref_bmask", "_var_def_bmask", "_block_digests",
+        "_var_ref_bmask", "_var_def_bmask", "_block_digests",
     )
 
     def __init__(self, fn: Function, index: VarIndex, budget=None) -> None:
@@ -182,7 +182,6 @@ class FunctionArena:
         self._var_ref_bmask: Optional[List[int]] = None
         self._var_def_bmask: Optional[List[int]] = None
         self._var_sites: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        self._name_rank: Optional[List[int]] = None
         self._block_digests: Optional[List[Optional[str]]] = None
 
     # ------------------------------------------------------------------
@@ -270,21 +269,6 @@ class FunctionArena:
         if vid >= len(self._var_def_bmask):
             return 0
         return self._var_def_bmask[vid]
-
-    def name_rank(self) -> List[int]:
-        """``rank[vid]`` = position of the vid's name in the sorted list
-        of all interned names.  Lets mask consumers materialize
-        name-sorted output without per-call string sorts.  Built against
-        the current index size; rebuilt if names were interned since."""
-        rank = self._name_rank
-        if rank is None or len(rank) != len(self.index):
-            names = self.index.names()
-            order = sorted(range(len(names)), key=names.__getitem__)
-            rank = [0] * len(names)
-            for pos, vid in enumerate(order):
-                rank[vid] = pos
-            self._name_rank = rank
-        return rank
 
     # ------------------------------------------------------------------
     # liveness

@@ -12,11 +12,12 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.allocators.base import AllocationOutcome, Allocator
 from repro.analysis.renaming import rename_webs
 from repro.ir.function import Function
+from repro.ir.parser import parse_function
 from repro.ir.validate import validate_function
 from repro.machine.rewrite import remove_self_moves
 from repro.machine.simulator import ExecutionResult, SimulationError, simulate
@@ -88,6 +89,29 @@ class CompileResult:
             "moves": self.allocated_run.register_moves,
             "program_refs": self.allocated_run.program_memory_refs,
         }
+
+
+def load_function_source(text: str, lang: str = "auto") -> Function:
+    """Parse one function (textual IR or MiniLang) and validate it.
+
+    With ``lang="auto"`` the first non-blank line decides: textual IR
+    headers carry ``start=<label>``, MiniLang never does.  Raises whatever
+    the parser, compiler or validator raises -- callers classify via
+    :func:`repro.errors.classify_exception`.
+    """
+    if lang not in ("auto", "ir", "minilang"):
+        raise ValueError(f"unknown lang {lang!r}")
+    if lang == "auto":
+        first = next((ln for ln in text.splitlines() if ln.strip()), "")
+        lang = "ir" if "start=" in first else "minilang"
+    if lang == "minilang":
+        from repro.minilang import compile_source
+
+        fn = compile_source(text)
+    else:
+        fn = parse_function(text)
+    validate_function(fn)
+    return fn
 
 
 def prepare(fn: Function, rename: bool = True, optimize: bool = False) -> Function:

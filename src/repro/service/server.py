@@ -63,8 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.engine import BatchEngine, BatchResult
 from repro.errors import TaskError, classify_exception, task_error_from_exception
-from repro.ir.parser import parse_function
-from repro.ir.validate import validate_function
+from repro.pipeline import load_function_source
 from repro.service.config import ServiceConfig, describe_config
 from repro.service.http import (
     ChunkedWriter,
@@ -103,29 +102,6 @@ class ServiceError(Exception):
         self.status = status
         self.error_class = error_class
         self.detail = detail or {}
-
-
-def load_function_source(text: str, lang: str = "auto"):
-    """Parse one function body (IR or MiniLang) and validate it.
-
-    The same auto-detection as the CLI: textual IR headers carry
-    ``start=<label>``, MiniLang never does.  Raises whatever the parser,
-    compiler or validator raises -- callers classify via
-    :func:`repro.errors.classify_exception`.
-    """
-    if lang not in ("auto", "ir", "minilang"):
-        raise ValueError(f"unknown lang {lang!r}")
-    if lang == "auto":
-        first = next((ln for ln in text.splitlines() if ln.strip()), "")
-        lang = "ir" if "start=" in first else "minilang"
-    if lang == "minilang":
-        from repro.minilang import compile_source
-
-        fn = compile_source(text)
-    else:
-        fn = parse_function(text)
-    validate_function(fn)
-    return fn
 
 
 class LatencyHistogram:

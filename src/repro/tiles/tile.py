@@ -10,7 +10,7 @@ its conflict graph, its spill decisions.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class Tile:
@@ -69,9 +69,6 @@ class Tile:
         while tile is not None:
             yield tile
             tile = tile.parent
-
-    def is_ancestor_of(self, other: "Tile") -> bool:
-        return any(a is self for a in other.ancestors())
 
     def __contains__(self, label: str) -> bool:
         return label in self.all_blocks

@@ -18,7 +18,9 @@ import pytest
 
 from repro.determinism import (
     DEFAULT_HASH_SEEDS,
+    cross_process_check,
     fingerprint_in_subprocess,
+    fingerprint_workloads,
     workload_names,
 )
 
@@ -38,6 +40,18 @@ def test_bench_set_includes_the_428_block_program():
 
 def test_three_distinct_hash_seeds_in_matrix():
     assert len(set(DEFAULT_HASH_SEEDS)) >= 3
+
+
+@pytest.mark.parametrize("harness", [
+    lambda **modes: fingerprint_workloads(WORKLOADS[:1], **modes),
+    lambda **modes: fingerprint_in_subprocess(WORKLOADS[:1], "0", **modes),
+    lambda **modes: cross_process_check(WORKLOADS[:1], **modes),
+], ids=["fingerprint_workloads", "fingerprint_in_subprocess",
+        "cross_process_check"])
+def test_unknown_mode_name_raises(harness):
+    """A mode keyword the table does not know is refused, not ignored."""
+    with pytest.raises(ValueError, match="batch_workers"):
+        harness(batch_workers=0)
 
 
 # The test id predates the removal of the thread scheduler, whose worker

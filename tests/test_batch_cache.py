@@ -233,7 +233,7 @@ class TestCrossSeedBitIdentity:
         across PYTHONHASHSEED {0, 1, 12345} (fresh interpreter each)."""
         names = ["seq_loops_100"]
         runs = {
-            seed: fingerprint_in_subprocess(names, seed, batch_workers=0)
+            seed: fingerprint_in_subprocess(names, seed, batch=0)
             for seed in ("0", "1", "12345")
         }
         base = runs["0"][names[0]]

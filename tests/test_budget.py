@@ -29,11 +29,14 @@ from repro.core.budget import (
     BudgetLimits,
     estimate_cost,
 )
+from repro.core.incremental import TileCacheStore
 from repro.errors import PERMANENT, TRANSIENT, classify_exception
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
-from repro.pipeline import Workload
+from repro.pipeline import Workload, prepare
+from repro.workloads.figure1 import figure1
 from repro.workloads.generators import random_program
+from repro.workloads.kernels import matmul
 
 MACHINE = Machine.simple(8)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -161,6 +164,21 @@ class TestBudgetedAllocationIdentity:
             allocator.allocate(_program(seed), MACHINE)
             snaps.append(allocator.last_budget)
         assert snaps[0] == snaps[1]
+
+    @pytest.mark.parametrize("make_fn", [figure1, matmul])
+    def test_empty_tile_store_spends_the_same_fuel(self, make_fn):
+        """The memoizing drivers charge one ``tiles`` unit per tile
+        visited, like the sequential ones: a cold allocation with an empty
+        store attached spends exactly the store-less fuel, so one
+        ``max_fuel`` admits the same functions with or without a store."""
+        snaps = []
+        for store in (None, TileCacheStore()):
+            allocator = HierarchicalAllocator(
+                budget_limits=BudgetLimits(max_fuel=10**9), tile_store=store
+            )
+            allocator.allocate(prepare(make_fn()), Machine.simple(4))
+            snaps.append(allocator.last_budget["counters"])
+        assert snaps[1] == snaps[0]
 
     def test_tiny_fuel_raises_classified_exhaustion(self):
         allocator = HierarchicalAllocator(

@@ -27,11 +27,15 @@ def ctx_for(fn, registers=4):
 
 class TestFunctionContext:
     def test_ref_and_def_blocks(self):
-        ctx = ctx_for(figure1())
-        assert "B2" in ctx.ref_blocks["g1"]
-        assert "B4" in ctx.ref_blocks["g1"]
-        assert "B2" in ctx.def_blocks["g1"]
-        assert "B4" not in ctx.def_blocks["t1"]
+        arena = ctx_for(figure1()).arena
+
+        def labels(blocks_of, var):
+            return {arena.labels[b] for b in blocks_of(arena.index.id_of(var))}
+
+        assert "B2" in labels(arena.var_ref_blocks, "g1")
+        assert "B4" in labels(arena.var_ref_blocks, "g1")
+        assert "B2" in labels(arena.var_def_blocks, "g1")
+        assert "B4" not in labels(arena.var_def_blocks, "t1")
 
     def test_is_local_matches_paper_definition(self):
         ctx = ctx_for(figure1())

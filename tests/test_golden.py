@@ -15,14 +15,21 @@ The matrix:
 * one ``optimize=True`` row per allocator, so dead-code elimination's
   liveness is on the snapshot too.
 
-Regenerate deliberately (after a reviewed output change) with::
+``tests/golden/determinism.json`` pins the determinism harness the same
+way: the exact text ``python -m repro.determinism fingerprint`` prints
+with every mode on (batch, service, incremental, budget) for two bench
+workloads, reuse and fuel counters included.
+
+Regenerate both deliberately (after a reviewed output change) with::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -31,7 +38,8 @@ from typing import Dict, Iterator, Tuple
 import pytest
 
 from repro.cli import ALLOCATORS
-from repro.determinism import build_workload, workload_names
+from repro.determinism import build_workload, main as determinism_main
+from repro.determinism import workload_names
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, compile_function
@@ -39,8 +47,13 @@ from repro.workloads.figure1 import figure1_workload
 from repro.workloads.generators import random_workload
 from repro.workloads.kernels import all_kernel_workloads
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "golden", "allocations.json"
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "allocations.json")
+DETERMINISM_PATH = os.path.join(GOLDEN_DIR, "determinism.json")
+#: the ``python -m repro.determinism`` command line the harness snapshot pins.
+DETERMINISM_ARGV = (
+    "fingerprint", "--workloads", "seq_loops_100,rand_struct_327",
+    "--batch", "0", "--service", "--incremental", "--budget", "100000000",
 )
 
 SMALL_REGISTERS = (2, 4, 6)
@@ -113,6 +126,23 @@ def test_golden_allocations(allocator):
     )
 
 
+def determinism_output() -> str:
+    """What ``python -m repro.determinism`` prints for DETERMINISM_ARGV."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert determinism_main(list(DETERMINISM_ARGV)) == 0
+    return out.getvalue()
+
+
+def test_golden_determinism_harness():
+    with open(DETERMINISM_PATH, "rb") as fh:
+        golden = fh.read()
+    assert determinism_output().encode() == golden, (
+        "repro.determinism fingerprint output diverges from "
+        "tests/golden/determinism.json"
+    )
+
+
 def write_golden() -> int:
     rows: Dict[str, Dict[str, object]] = {}
     for allocator in sorted(ALLOCATORS):
@@ -126,10 +156,13 @@ def write_golden() -> int:
             for key in sorted(rows)
         ))
         fh.write("\n}}\n")
+    with open(DETERMINISM_PATH, "w") as fh:
+        fh.write(determinism_output())
     return len(rows)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    print(f"wrote {write_golden()} rows to {GOLDEN_PATH}")
+    rows = write_golden()
+    print(f"wrote {rows} rows to {GOLDEN_PATH} and {DETERMINISM_PATH}")
