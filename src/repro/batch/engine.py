@@ -331,7 +331,6 @@ class BatchEngine:
             self.cache: Optional[AllocationCache] = None
         else:
             self.cache = AllocationCache(
-                capacity=self.batch.cache_capacity,
                 cache_dir=(
                     self.batch.cache_dir
                     if self.batch.cache_policy == "disk"

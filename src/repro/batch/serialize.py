@@ -47,12 +47,13 @@ from repro.machine.target import Machine
 #: v2: added ``allocator`` (which allocator produced the record -- the
 #: degradation ladder can cache-bypass fallback results, but the field
 #: still travels with every record so consumers can tell).
-#: v3: added ``tile_fingerprints`` (per-tile content addresses in
-#: postorder, populated when the allocation ran with a tile store --
-#: see :mod:`repro.core.incremental`).  The version sits inside the
-#: invalidation key, so v2 records are unreachable under v3 keys and
-#: any that are loaded directly fail :func:`record_from_dict`.
-FORMAT_VERSION = 3
+#: v3: added ``tile_fingerprints`` (per-tile content addresses).
+#: v4: removed ``tile_fingerprints`` again -- nothing read them, and only
+#: store-attached runs filled them in, so two records under one cache key
+#: could differ.  The version sits inside the invalidation key, so older
+#: records are unreachable under v4 keys and any that are loaded directly
+#: fail :func:`record_from_dict`.
+FORMAT_VERSION = 4
 
 #: Subpackages whose source feeds :func:`code_version` -- everything that
 #: can change what an allocation *produces*, including ``opt`` (the
@@ -221,6 +222,9 @@ class AllocationRecord:
     variable visible in the tile to its final physical register or the
     memory sentinel -- the phase-2 binding that placed it.  ``costs`` is
     ``None`` when the workload carried no inputs (nothing was simulated).
+    Every field is determined by the cache key: how the allocation was
+    computed (pooled or inline, with or without a tile store) leaves no
+    trace in the record.
     """
 
     version: int
@@ -242,12 +246,6 @@ class AllocationRecord:
     #: fallbacks (those are never written to the cache -- the cache key is
     #: the *hierarchical* content address; see the batch engine).
     allocator: str = "hierarchical"
-    #: per-tile content addresses in tile-tree postorder
-    #: (:func:`repro.core.incremental.tile_fingerprint`); empty when the
-    #: allocation ran without a tile store.  Observability only -- the
-    #: incremental determinism check compares these across runs to prove
-    #: the memoized walk saw the same inputs as a cold one.
-    tile_fingerprints: Tuple[str, ...] = ()
 
     def fingerprint_dict(self) -> Dict[str, object]:
         """The ``repro.determinism`` fingerprint view of this record."""
@@ -285,7 +283,6 @@ def record_to_dict(record: AllocationRecord) -> Dict[str, object]:
     payload = dataclasses.asdict(record)
     payload["bindings"] = [list(pair) for pair in record.bindings]
     payload["spilled"] = list(record.spilled)
-    payload["tile_fingerprints"] = list(record.tile_fingerprints)
     return payload
 
 
@@ -318,9 +315,6 @@ def record_from_dict(payload: Mapping[str, object]) -> AllocationRecord:
         ),
         returned=normalize_returned(payload.get("returned")),
         allocator=str(payload.get("allocator", "hierarchical")),
-        tile_fingerprints=tuple(
-            str(fp) for fp in payload.get("tile_fingerprints", ())
-        ),
     )
 
 

@@ -6,8 +6,9 @@ per process with the allocator/machine configuration
 ``(index, name, fingerprint, text, args, arrays, attempt)`` tasks and
 returns ``(index, payload_dict, timing_dict)`` -- the function travels as
 its canonical IR text (lossless round-trip through
-``format_function``/``parse_function``), never as a pickled object graph,
-so the wire format is as stable as the cache format.
+``format_function``/``parse_function``, call clobbers included), never
+as a pickled object graph, so the wire format is as stable as the cache
+format.
 
 Failures travel the same way: a worker never lets an exception escape
 ``run_task``.  Exceptions would have to be *pickled* back across the
@@ -23,7 +24,9 @@ function and condense the result into an :class:`AllocationRecord`"; the
 engine calls it inline when running without a pool and for
 degradation-ladder fallbacks (``allocator="chaitin"`` / ``"naive"``), so
 pooled, inline and cached results are constructed identically
-(bit-identical, per the determinism gate).
+(bit-identical, per the determinism gate).  A record is a pure function
+of its cache key: attaching a tile store changes how the allocation is
+computed, never the record.
 """
 
 from __future__ import annotations
@@ -104,7 +107,9 @@ def compute_record(
     produce no per-tile bindings; everything else in the record is
     constructed identically).  *tile_store* is a
     :class:`repro.core.incremental.TileCacheStore` for incremental
-    re-allocation; only the hierarchical allocator uses it.
+    re-allocation; only the hierarchical allocator uses it, and it
+    changes only the third return value -- the record is equal with or
+    without one.
     *budget_limits* is a :class:`repro.core.budget.BudgetLimits` resource
     governor, likewise hierarchical-only -- degradation-ladder rungs run
     unbudgeted so a fuel-exhausted function can still complete there.
@@ -166,9 +171,6 @@ def compute_record(
         costs=costs,
         returned=returned,
         allocator=allocator,
-        tile_fingerprints=tuple(
-            outcome.stats.extra.get("tile_fingerprints", ())
-        ),
     )
     return record, stage_times, tile_cache
 

@@ -106,12 +106,16 @@ def _load(path: str, lang: str = "auto"):
         return load_function_source(fh.read(), lang)
 
 
-def _add_io_args(parser: argparse.ArgumentParser) -> None:
+def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", help="IR or MiniLang file (or - for stdin)")
     parser.add_argument(
         "--lang", choices=["auto", "ir", "minilang"], default="auto",
         help="input language (auto-detected by default)",
     )
+
+
+def _add_io_args(parser: argparse.ArgumentParser) -> None:
+    _add_source_args(parser)
     parser.add_argument(
         "--arg", action="append", default=[], metavar="NAME=INT",
         help="scalar argument (repeatable)",
@@ -139,7 +143,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def cmd_tiles(args: argparse.Namespace, out) -> int:
-    fn = _load(args.file, getattr(args, "lang", "auto"))
+    fn = _load(args.file, args.lang)
     tree = build_tile_tree(fn)
     print(tree.format(), file=out)
     print(f"tiles: {len(tree)}  height: {tree.height()}", file=out)
@@ -262,19 +266,101 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace, out) -> int:
-    from repro.batch import BatchConfig, BatchEngine, load_module_dir
-    from repro.errors import BatchFunctionError
-
-    workloads = load_module_dir(
-        args.dir, args=_parse_kv(args.arg), arrays=_parse_arrays(args.array)
+def _add_engine_args(
+    parser: argparse.ArgumentParser, tile_cache_default: bool
+) -> None:
+    """The batch-engine flags ``repro batch`` and ``repro serve`` share
+    (read back by :func:`_batch_config`).  The tile cache is off by
+    default for ``batch`` (``--tile-cache`` turns it on) and on for
+    ``serve`` (``--no-tile-cache`` turns it off)."""
+    parser.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="worker processes for cache misses (0 = allocate in-process)",
     )
-    for file_error in workloads.errors:
-        print(f"LOAD FAILED {file_error.describe()}", file=out)
+    parser.add_argument(
+        "--cache", metavar="DIR", default=None,
+        help="persistent cache directory (implies --policy disk)",
+    )
+    parser.add_argument(
+        "--policy", choices=["memory", "disk", "off"], default="memory",
+        help="cache policy (default: in-memory LRU; 'disk' needs --cache)",
+    )
+    parser.add_argument("--registers", type=int, default=8)
+    parser.add_argument(
+        "--no-simulate", action="store_true",
+        help="static allocation only: skip the simulator even when inputs "
+        "are given, and leave them out of cache keys",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=2, metavar="N",
+        help="bounded retries per task for transient failures "
+        "(crashed/hung workers; default: 2)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-task wall-clock budget for pooled tasks; a stuck task "
+        "fails transiently and the pool is restarted (default: none)",
+    )
+    parser.add_argument(
+        "--on-error", choices=["fail", "skip", "degrade"],
+        default="degrade",
+        help="final-failure policy: 'degrade' (default) retries with the "
+        "chaitin then naive fallback allocators, 'skip' records a "
+        "structured failure, 'fail' aborts a batch run (the service "
+        "answers with per-function failures instead)",
+    )
+    if tile_cache_default:
+        parser.add_argument(
+            "--no-tile-cache", dest="tile_cache", action="store_false",
+            help="disable the per-process tile memoization stores (on by "
+            "default for the service: edit-resubmit round-trips reuse "
+            "clean subtrees across requests)",
+        )
+    else:
+        parser.add_argument(
+            "--tile-cache", action="store_true",
+            help="attach per-process tile memoization stores: "
+            "re-submissions of edited functions reuse clean subtrees and "
+            "recompute only dirty tiles (bit-identical output)",
+        )
+    parser.add_argument(
+        "--tile-cache-entries", type=int, default=4096, metavar="N",
+        help="LRU capacity of each per-process tile store (default: 4096)",
+    )
+    parser.add_argument(
+        "--max-fuel", type=int, default=None, metavar="N",
+        help="deterministic fuel budget per hierarchical allocation; "
+        "exhausted functions degrade through the fallback ladder "
+        "(default: unlimited)",
+    )
+    parser.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="wall-clock backstop per hierarchical allocation; a blown "
+        "deadline is transient and retried (default: none)",
+    )
+    parser.add_argument(
+        "--admission-limit", type=int, default=None, metavar="COST",
+        help="admission control: functions whose estimated cost (blocks + "
+        "instrs * (1 + vars)) exceeds COST are never allocated "
+        "hierarchically -- batch sends them straight to the fallback "
+        "ladder, the service answers 413 (default: admit everything)",
+    )
+    parser.add_argument(
+        "--jsonl", metavar="PATH",
+        help="write the trace events (CacheHit/CacheMiss/BatchTask, plus "
+        "ServiceRequest for the service) as JSON Lines",
+    )
+
+
+def _batch_config(args: argparse.Namespace):
+    """The :class:`~repro.batch.BatchConfig` the :func:`_add_engine_args`
+    flags describe."""
+    from repro.batch import BatchConfig
+
     policy = args.policy
     if args.cache and policy == "memory":
         policy = "disk"
-    batch = BatchConfig(
+    return BatchConfig(
         batch_workers=args.workers,
         cache_dir=args.cache,
         cache_policy=policy,
@@ -289,6 +375,18 @@ def cmd_batch(args: argparse.Namespace, out) -> int:
         deadline_s=args.deadline,
         admission_limit=args.admission_limit,
     )
+
+
+def cmd_batch(args: argparse.Namespace, out) -> int:
+    from repro.batch import BatchEngine, load_module_dir
+    from repro.errors import BatchFunctionError
+
+    workloads = load_module_dir(
+        args.dir, args=_parse_kv(args.arg), arrays=_parse_arrays(args.array)
+    )
+    for file_error in workloads.errors:
+        print(f"LOAD FAILED {file_error.describe()}", file=out)
+    batch = _batch_config(args)
 
     sinks: List[object] = []
     if args.jsonl:
@@ -383,27 +481,9 @@ def cmd_batch(args: argparse.Namespace, out) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, out) -> int:
-    from repro.batch import BatchConfig
     from repro.service import ServiceConfig, run_service
 
-    policy = args.policy
-    if args.cache and policy == "memory":
-        policy = "disk"
-    batch = BatchConfig(
-        batch_workers=args.workers,
-        cache_dir=args.cache,
-        cache_policy=policy,
-        registers=args.registers,
-        simulate=not args.no_simulate,
-        max_retries=args.max_retries,
-        task_timeout_s=args.task_timeout,
-        on_error=args.on_error,
-        tile_cache=not args.no_tile_cache,
-        tile_cache_entries=args.tile_cache_entries,
-        max_fuel=args.max_fuel,
-        deadline_s=args.deadline,
-        admission_limit=args.admission_limit,
-    )
+    batch = _batch_config(args)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -439,11 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     tiles_p = sub.add_parser("tiles", help="print the tile tree")
-    tiles_p.add_argument("file", help="IR or MiniLang file (or - for stdin)")
-    tiles_p.add_argument(
-        "--lang", choices=["auto", "ir", "minilang"], default="auto",
-        help="input language (auto-detected by default)",
-    )
+    _add_source_args(tiles_p)
     tiles_p.set_defaults(func=cmd_tiles)
 
     alloc_p = sub.add_parser("allocate", help="run a register allocator")
@@ -486,11 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace a hierarchical allocation and print the per-tile "
         "decision report",
     )
-    trace_p.add_argument("file", help="IR or MiniLang file (or - for stdin)")
-    trace_p.add_argument(
-        "--lang", choices=["auto", "ir", "minilang"], default="auto",
-        help="input language (auto-detected by default)",
-    )
+    _add_source_args(trace_p)
     trace_p.add_argument("--registers", type=int, default=4)
     trace_p.add_argument(
         "--jsonl", metavar="PATH",
@@ -513,19 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(process pool + content-addressed allocation cache)",
     )
     batch_p.add_argument("dir", help="directory of .ir / .ml files")
-    batch_p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for cache misses (0 = allocate in-process)",
-    )
-    batch_p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="persistent cache directory (implies --policy disk)",
-    )
-    batch_p.add_argument(
-        "--policy", choices=["memory", "disk", "off"], default="memory",
-        help="cache policy (default: in-memory LRU; 'disk' needs --cache)",
-    )
-    batch_p.add_argument("--registers", type=int, default=8)
+    _add_engine_args(batch_p, tile_cache_default=False)
     batch_p.add_argument(
         "--arg", action="append", default=[], metavar="NAME=INT",
         help="scalar argument attached to every function (repeatable)",
@@ -535,65 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="array input attached to every function (repeatable)",
     )
     batch_p.add_argument(
-        "--no-simulate", action="store_true",
-        help="skip the simulator even when inputs are given "
-        "(static allocation only)",
-    )
-    batch_p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="bounded retries per task for transient failures "
-        "(crashed/hung workers; default: 2)",
-    )
-    batch_p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget for pooled tasks; a stuck task "
-        "fails transiently and the pool is restarted (default: none)",
-    )
-    batch_p.add_argument(
-        "--on-error", choices=["fail", "skip", "degrade"],
-        default="degrade",
-        help="final-failure policy: 'degrade' (default) retries with the "
-        "chaitin then naive fallback allocators, 'skip' records a "
-        "structured failure, 'fail' aborts the run",
-    )
-    batch_p.add_argument(
-        "--tile-cache", action="store_true",
-        help="attach per-process tile memoization stores: re-submissions "
-        "of edited functions reuse clean subtrees and recompute only "
-        "dirty tiles (bit-identical output)",
-    )
-    batch_p.add_argument(
-        "--tile-cache-entries", type=int, default=4096, metavar="N",
-        help="LRU capacity of each per-process tile store (default: 4096)",
-    )
-    batch_p.add_argument(
-        "--max-fuel", type=int, default=None, metavar="N",
-        help="deterministic fuel budget per hierarchical allocation; "
-        "exhausted functions degrade through the fallback ladder "
-        "(default: unlimited)",
-    )
-    batch_p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock backstop per hierarchical allocation; a blown "
-        "deadline is transient and retried (default: none)",
-    )
-    batch_p.add_argument(
-        "--admission-limit", type=int, default=None, metavar="COST",
-        help="reject functions whose estimated cost (blocks + instrs * "
-        "(1 + vars)) exceeds COST before allocating; rejected functions "
-        "go straight to the fallback ladder (default: admit everything)",
-    )
-    batch_p.add_argument(
         "--stats", action="store_true",
         help="print cache hit/miss/eviction counts and functions/sec",
     )
     batch_p.add_argument(
         "--profile", action="store_true",
         help="print per-stage time attribution summed across the module",
-    )
-    batch_p.add_argument(
-        "--jsonl", metavar="PATH",
-        help="write CacheHit/CacheMiss/BatchTask events as JSON Lines",
     )
     batch_p.add_argument(
         "--chrome", metavar="PATH",
@@ -616,25 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8421,
         help="TCP port (0 picks a free ephemeral port; default: 8421)",
     )
-    serve_p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="engine worker processes for cache misses "
-        "(0 = allocate in-process)",
-    )
-    serve_p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="persistent cache directory (implies --policy disk)",
-    )
-    serve_p.add_argument(
-        "--policy", choices=["memory", "disk", "off"], default="memory",
-        help="cache policy (default: in-memory LRU; 'disk' needs --cache)",
-    )
-    serve_p.add_argument("--registers", type=int, default=8)
-    serve_p.add_argument(
-        "--no-simulate", action="store_true",
-        help="static allocation only: skip the simulator, ignore "
-        "submitted args/arrays for cache keying",
-    )
+    _add_engine_args(serve_p, tile_cache_default=True)
     serve_p.add_argument(
         "--queue-limit", type=int, default=1024, metavar="N",
         help="max pending allocations before /allocate answers 429 "
@@ -653,50 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-timeout", type=float, default=30.0, metavar="SECONDS",
         help="graceful-shutdown budget for queued + in-flight work "
         "(default: 30)",
-    )
-    serve_p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="bounded retries per task for transient failures (default: 2)",
-    )
-    serve_p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget for pooled tasks (default: none)",
-    )
-    serve_p.add_argument(
-        "--on-error", choices=["fail", "skip", "degrade"],
-        default="degrade",
-        help="engine final-failure policy (default: degrade through the "
-        "chaitin/naive fallback ladder); 'fail' is translated to "
-        "per-function failure results, never a dead service",
-    )
-    serve_p.add_argument(
-        "--no-tile-cache", action="store_true",
-        help="disable the per-process tile memoization stores (on by "
-        "default for the service: edit-resubmit round-trips reuse "
-        "clean subtrees across requests)",
-    )
-    serve_p.add_argument(
-        "--tile-cache-entries", type=int, default=4096, metavar="N",
-        help="LRU capacity of each per-process tile store (default: 4096)",
-    )
-    serve_p.add_argument(
-        "--max-fuel", type=int, default=None, metavar="N",
-        help="deterministic fuel budget per hierarchical allocation "
-        "(default: unlimited)",
-    )
-    serve_p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock backstop per hierarchical allocation "
-        "(default: none)",
-    )
-    serve_p.add_argument(
-        "--admission-limit", type=int, default=None, metavar="COST",
-        help="answer 413 for requests containing functions whose "
-        "estimated cost exceeds COST (default: admit everything)",
-    )
-    serve_p.add_argument(
-        "--jsonl", metavar="PATH",
-        help="write ServiceRequest + engine events as JSON Lines",
     )
     serve_p.set_defaults(func=cmd_serve)
     return parser

@@ -155,9 +155,6 @@ class HierarchicalAllocator(Allocator):
         if state is not None:
             self.last_tile_cache = state.counters(ctx.tree)
             stats.extra["tile_cache"] = self.last_tile_cache
-            stats.extra["tile_fingerprints"] = tuple(
-                state.fingerprints[t.tid] for t in ctx.tree.postorder()
-            )
         record_spill_blocks(out, stats)
         self.last_context = ctx
         self.last_allocations = allocations

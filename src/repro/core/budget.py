@@ -168,9 +168,6 @@ class AllocationBudget:
         ):
             self.check_deadline()
 
-    # The ISSUE-facing name; loop headers may call either.
-    checkpoint = charge
-
     def check_deadline(self) -> None:
         """Unconditional deadline probe (for long stretches between
         fuel charges, e.g. around a fallback simulation)."""

@@ -82,7 +82,6 @@ class BatchConfig:
         cache_policy: ``"memory"`` (in-memory LRU, the default), ``"disk"``
             (LRU in front of an on-disk store under *cache_dir*), or
             ``"off"`` (every function is recomputed).
-        cache_capacity: maximum in-memory LRU entries before eviction.
         registers: machine size functions are allocated for (the machine is
             part of the invalidation key).
         simulate: run the allocated program on the workload's inputs and
@@ -144,7 +143,6 @@ class BatchConfig:
     batch_workers: int = 0
     cache_dir: Optional[str] = None
     cache_policy: str = "memory"
-    cache_capacity: int = 1024
     registers: int = 8
     simulate: bool = True
     max_retries: int = 2
@@ -167,10 +165,6 @@ class BatchConfig:
         if self.batch_workers < 0:
             raise ValueError(
                 f"batch_workers must be >= 0, got {self.batch_workers}"
-            )
-        if self.cache_capacity < 1:
-            raise ValueError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
         if self.registers < 1:
             raise ValueError(

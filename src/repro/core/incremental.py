@@ -16,9 +16,10 @@ subtree:
   :mod:`repro.batch.serialize`).  Two tiles with equal fingerprints
   produce byte-identical phase-1 allocations -- the determinism gate
   (``repro.determinism``) is what licenses this.
-* :class:`TileCacheStore` -- process-local LRU over phase-1 entries
-  (keyed by fingerprint) and phase-2 overlays (keyed by fingerprint plus
-  the parent-interface digest).
+* :class:`TileCacheStore` -- process-local LRU over phase-1 allocations
+  (detached :func:`copy_allocation` copies, keyed by fingerprint) and
+  phase-2 overlays (keyed by fingerprint plus the parent-interface
+  digest).
 * :func:`run_phase1_incremental` / :func:`run_phase2_incremental` --
   drop-in replacements for the sequential drivers that walk the tile
   tree, reuse every clean subtree verbatim, and recompute only dirty
@@ -33,14 +34,16 @@ Correctness rests on three invariants:
   renumbers both on its private clone (:meth:`TileTree.renumber`,
   :meth:`Function.renumber_uids`) before any analysis runs, making every
   derived name a pure function of the program text.
-* **Copy-on-write graphs.**  A phase-1 entry shares its pristine
-  interference graph with the live allocation; phase 2 mutates the graph
-  (intruders, operand temps), so a dirty tile clones the graph first and
-  the cached entry keeps the pristine version.
+* **Copy-on-write graphs.**  :func:`copy_allocation` shares the
+  pristine interference graph between the stored copy and the live
+  allocation; phase 2 mutates the graph (intruders, operand temps), so a
+  dirty tile clones the graph first and the stored copy keeps the
+  pristine version.
 * **Copied containers.**  Phase 2 extends ``metrics.transfer`` /
-  ``metrics.weight`` in place (intruder setdefaults); snapshots own
-  copies of the five metric dicts and of every other mutable container,
-  in both directions.
+  ``metrics.weight`` in place (intruder setdefaults);
+  :func:`copy_allocation` gives both the stored copy and every copy it
+  hands out their own metric dicts and every other dict, set and list
+  field of :class:`~repro.core.summary.TileAllocation`.
 
 Exclusions (documented in DESIGN.md section 10): the rewrite stage
 (spill-code insertion) always runs fresh -- it is a cheap linear pass
@@ -53,16 +56,15 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from hashlib import sha256
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.config import HierarchicalConfig
 from repro.core.info import FunctionContext
 from repro.core.phase1 import allocate_tile
 from repro.core.phase2 import bind_tile
 from repro.core.summary import MEM, TileAllocation, TileMetrics
-from repro.graph.interference import InterferenceGraph
 from repro.machine.target import Machine
 from repro.tiles.tile import Tile
 from repro.trace.events import StageTiming, TileCacheHit
@@ -194,111 +196,41 @@ def interface_digest(
 # ----------------------------------------------------------------------
 # cached entries
 # ----------------------------------------------------------------------
-def _copy_metrics(metrics: TileMetrics) -> TileMetrics:
-    """Own copies of the five metric dicts (phase 2 extends ``transfer``
-    and ``weight`` in place for intruders)."""
-    return TileMetrics(
-        local_weight=dict(metrics.local_weight),
-        transfer=dict(metrics.transfer),
-        weight=dict(metrics.weight),
-        reg=dict(metrics.reg),
-        mem=dict(metrics.mem),
-    )
+#: ``(name, factory)`` for every dict, set and list field of
+#: :class:`TileAllocation` -- read off ``dataclasses.fields`` so a field
+#: added later is copied without another edit here.
+_CONTAINER_FIELDS = tuple(
+    (f.name, f.default_factory)
+    for f in fields(TileAllocation)
+    if f.default_factory in (dict, set, list)
+)
 
 
-@dataclass
-class Phase1Entry:
-    """Frozen image of one tile's post-phase-1 allocation.
+def copy_allocation(alloc: TileAllocation) -> TileAllocation:
+    """Detached copy of a tile allocation: the phase-1 store keeps one of
+    each just-computed allocation, and a hit hands out one of the stored
+    version.
 
-    ``graph`` is the pristine post-phase-1 interference graph, *shared*
-    with whichever live allocation it was snapshotted from or
-    instantiated into -- phase 2 must clone before mutating (the drivers
-    below enforce this).  Every other container is an owned copy.
+    Every dict, set and list field is copied one level deep (their
+    members are strings, floats and tuples), and the metrics get owned
+    dicts (phase 2 extends ``transfer`` and ``weight`` in place for
+    intruders).  ``graph`` stays *shared*: phase 2 clones it before
+    mutating (see :func:`run_phase2_incremental`).
     """
-
-    tile_id: int
-    graph: InterferenceGraph
-    assignment: Dict[str, str]
-    spilled: Set[str]
-    locals_: Set[str]
-    globals_: Set[str]
-    boundary_globals: Set[str]
-    ts_map: Dict[str, str]
-    summary_vars: Dict[str, str]
-    global_regs: Dict[str, str]
-    conflict_global_summary: Set[Tuple[str, str]]
-    conflict_global_global: Set[Tuple[str, str]]
-    conflict_summary_summary: Set[Tuple[str, str]]
-    phys_prefs_up: Dict[str, str]
-    pref_pairs_up: List[Tuple[str, str]]
-    summary_prefs_up: List[Tuple[str, str]]
-    pref_pairs_all: List[Tuple[str, str]]
-    local_prefs_all: Dict[str, str]
-    metrics: TileMetrics
-    forced_memory: Set[str]
-    temp_nodes: Set[str]
-    reserved_regs: List[str]
-    recolor_rounds: int
-
-
-def snapshot_phase1(alloc: TileAllocation) -> Phase1Entry:
-    """Capture a just-computed phase-1 allocation (before phase 2 runs)."""
-    return Phase1Entry(
-        tile_id=alloc.tile_id,
-        graph=alloc.graph,
-        assignment=dict(alloc.assignment),
-        spilled=set(alloc.spilled),
-        locals_=set(alloc.locals_),
-        globals_=set(alloc.globals_),
-        boundary_globals=set(alloc.boundary_globals),
-        ts_map=dict(alloc.ts_map),
-        summary_vars=dict(alloc.summary_vars),
-        global_regs=dict(alloc.global_regs),
-        conflict_global_summary=set(alloc.conflict_global_summary),
-        conflict_global_global=set(alloc.conflict_global_global),
-        conflict_summary_summary=set(alloc.conflict_summary_summary),
-        phys_prefs_up=dict(alloc.phys_prefs_up),
-        pref_pairs_up=list(alloc.pref_pairs_up),
-        summary_prefs_up=list(alloc.summary_prefs_up),
-        pref_pairs_all=list(alloc.pref_pairs_all),
-        local_prefs_all=dict(alloc.local_prefs_all),
-        metrics=_copy_metrics(alloc.metrics),
-        forced_memory=set(alloc.forced_memory),
-        temp_nodes=set(alloc.temp_nodes),
-        reserved_regs=list(alloc.reserved_regs),
-        recolor_rounds=alloc.recolor_rounds,
-    )
-
-
-def instantiate_phase1(entry: Phase1Entry) -> TileAllocation:
-    """Materialize a live allocation from a cached entry (the inverse of
-    :func:`snapshot_phase1`; the graph stays shared until phase 2 needs
-    to mutate it)."""
-    return TileAllocation(
-        tile_id=entry.tile_id,
-        graph=entry.graph,
-        assignment=dict(entry.assignment),
-        spilled=set(entry.spilled),
-        locals_=set(entry.locals_),
-        globals_=set(entry.globals_),
-        boundary_globals=set(entry.boundary_globals),
-        ts_map=dict(entry.ts_map),
-        summary_vars=dict(entry.summary_vars),
-        global_regs=dict(entry.global_regs),
-        conflict_global_summary=set(entry.conflict_global_summary),
-        conflict_global_global=set(entry.conflict_global_global),
-        conflict_summary_summary=set(entry.conflict_summary_summary),
-        phys_prefs_up=dict(entry.phys_prefs_up),
-        pref_pairs_up=list(entry.pref_pairs_up),
-        summary_prefs_up=list(entry.summary_prefs_up),
-        pref_pairs_all=list(entry.pref_pairs_all),
-        local_prefs_all=dict(entry.local_prefs_all),
-        metrics=_copy_metrics(entry.metrics),
-        forced_memory=set(entry.forced_memory),
-        temp_nodes=set(entry.temp_nodes),
-        reserved_regs=list(entry.reserved_regs),
-        recolor_rounds=entry.recolor_rounds,
-    )
+    # ``__dict__.copy()`` keeps CPython's shared-key instance-dict layout,
+    # which a freshly built dict would not (stored copies are retained).
+    state = alloc.__dict__.copy()
+    for name, factory in _CONTAINER_FIELDS:
+        state[name] = factory(state[name])
+    metrics_state = alloc.metrics.__dict__.copy()
+    for name, values in metrics_state.items():
+        metrics_state[name] = dict(values)
+    metrics = TileMetrics.__new__(TileMetrics)
+    metrics.__dict__ = metrics_state
+    state["metrics"] = metrics
+    copy = TileAllocation.__new__(TileAllocation)
+    copy.__dict__ = state
+    return copy
 
 
 @dataclass
@@ -307,7 +239,13 @@ class Phase2Overlay:
     (fingerprint, parent interface) pair.  Applying it is equivalent to
     running :func:`repro.core.phase2.bind_tile` -- minus the graph
     mutation, which nothing downstream reads (the node/edge counts the
-    stats want are recorded here instead, as ``graph_counts``)."""
+    stats want are recorded here instead, as ``graph_counts``).
+
+    A delta rather than a full post-phase-2 :func:`copy_allocation`: the
+    tile's phase-1 copy is already in the store, and storing whole
+    post-phase-2 copies as well raised the peak RSS of a 120-function,
+    240-edit loop at 6 registers from 84.9 to 110.8 MB (+31 %; CPython
+    3.11, x86-64 Linux)."""
 
     phys: Dict[str, str]
     summary_phys: Dict[str, str]
@@ -391,12 +329,11 @@ class IncrementalState:
     """Carry-over between the two incremental phases plus the per-run
     reuse counters the batch stats aggregate."""
 
+    #: tile id -> live allocation; every ``graph`` in it is shared with a
+    #: stored phase-1 copy until phase 2 clones it
     allocations: Dict[int, TileAllocation]
     #: tile id -> fingerprint (every tile, hit or miss)
     fingerprints: Dict[int, str]
-    #: tile id -> the store's pristine graph when the live allocation
-    #: still shares it (phase 2 clones before mutating)
-    shared_graphs: Dict[int, InterferenceGraph] = field(default_factory=dict)
     phase1_hits: Set[int] = field(default_factory=set)
     phase2_hits: int = 0
     phase2_misses: int = 0
@@ -442,10 +379,9 @@ def run_phase1_incremental(
         start = time.perf_counter()
         fp = tile_fingerprint(ctx, tile, allocations, fps, invalidation)
         fps[tile.tid] = fp
-        entry = store.get(("p1", fp))
-        if entry is not None:
-            alloc = instantiate_phase1(entry)
-            state.shared_graphs[tile.tid] = entry.graph
+        stored = store.get(("p1", fp))
+        if stored is not None:
+            alloc = copy_allocation(stored)
             state.phase1_hits.add(tile.tid)
             if tracer.enabled:
                 tracer.emit(TileCacheHit(
@@ -453,10 +389,7 @@ def run_phase1_incremental(
                 ))
         else:
             alloc = allocate_tile(ctx, config, tile, allocations)
-            entry = snapshot_phase1(alloc)
-            # The entry shares the live graph; phase 2 clones on write.
-            state.shared_graphs[tile.tid] = entry.graph
-            store.put(("p1", fp), entry)
+            store.put(("p1", fp), copy_allocation(alloc))
         allocations[tile.tid] = alloc
         if tracer.enabled:
             tracer.emit(StageTiming.for_tile("phase1", tile.tid, start))
@@ -472,7 +405,7 @@ def run_phase2_incremental(
     """Phase 2 with overlay memoization: preorder walk; a tile whose
     fingerprint *and* parent interface both match a cached overlay takes
     the recorded bindings verbatim, everything else binds fresh (cloning
-    the shared pristine graph first) and records its overlay."""
+    the shared graph first) and records its overlay."""
     budget = ctx.budget
     tracer = ctx.tracer
     allocations = state.allocations
@@ -496,9 +429,8 @@ def run_phase2_incremental(
                     tile_id=tile.tid, phase="phase2", fingerprint=fp,
                 ))
         else:
-            shared = state.shared_graphs.get(tile.tid)
-            if shared is not None and alloc.graph is shared:
-                alloc.graph = shared.clone()
+            # The graph is shared with the stored phase-1 copy.
+            alloc.graph = alloc.graph.clone()
             rounds_before = alloc.recolor_rounds
             bind_tile(ctx, config, tile, allocations)
             state.phase2_misses += 1

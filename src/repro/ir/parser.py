@@ -8,11 +8,15 @@ The grammar is line-oriented::
       y = add x, x
       z = load A[i]
       store A[i], z
+      r = call f(x, y) clobbers R2, R3
+      call g(z)
       cbr c
       -> then_lbl, else_lbl
     ...
 
-Successor lists follow the block body on a ``->`` line.  Round-tripping
+Successor lists follow the block body on a ``->`` line.  A call may end
+with ``clobbers`` and the physical registers it destroys (the linkage
+lowering in :mod:`repro.machine.calls` adds them).  Round-tripping
 ``parse_function(format_function(fn))`` reproduces an equivalent function.
 """
 
@@ -40,7 +44,9 @@ _SUCC_RE = re.compile(r"^->\s*(.*)$")
 _ASSIGN_RE = re.compile(r"^(.*?)\s*=\s*(.*)$")
 _LOAD_RE = re.compile(r"^load\s+([\w.$%]+)\[([\w.$%]+)\]$")
 _STORE_RE = re.compile(r"^store\s+([\w.$%]+)\[([\w.$%]+)\],\s*([\w.$%]+)$")
-_CALL_RE = re.compile(r"^call\s+([\w.$%]+)\((.*?)\)$")
+_CALL_RE = re.compile(
+    r"^call\s+([\w.$%]+)\((.*?)\)(?:\s+clobbers\s+(.+))?$"
+)
 _SPILL_ST_RE = re.compile(r"^spillst\s+\[(.*?)\],\s*([\w.$%]+)$")
 _SPILL_LD_RE = re.compile(r"^spillld\s+\[(.*?)\]$")
 
@@ -66,6 +72,17 @@ _SIMPLE_RHS_OPS = {
 }
 
 
+def _call(m: re.Match, dsts: List[str]) -> Instr:
+    """A CALL from a :data:`_CALL_RE` match, in either call form."""
+    return Instr(
+        Opcode.CALL,
+        defs=tuple(dsts),
+        uses=tuple(_split_names(m.group(2))),
+        imm=m.group(1),
+        clobbers=tuple(_split_names(m.group(3) or "")),
+    )
+
+
 def _parse_rhs(dsts: List[str], rhs: str) -> Instr:
     rhs = rhs.strip()
     parts = rhs.split(None, 1)
@@ -84,9 +101,7 @@ def _parse_rhs(dsts: List[str], rhs: str) -> Instr:
         return Instr(Opcode.LOAD, defs=tuple(dsts), uses=(m.group(2),), imm=m.group(1))
     m = _CALL_RE.match(rhs)
     if m:
-        return Instr(
-            Opcode.CALL, defs=tuple(dsts), uses=tuple(_split_names(m.group(2))), imm=m.group(1)
-        )
+        return _call(m, dsts)
     m = _SPILL_LD_RE.match(rhs)
     if m:
         return Instr(Opcode.SPILL_LD, defs=tuple(dsts), imm=ast.literal_eval(m.group(1)) if m.group(1)[:1] in "'\"([0123456789-" else m.group(1))
@@ -124,7 +139,7 @@ def _parse_instr(line: str) -> Instr:
         return Instr(Opcode.SPILL_ST, uses=(m.group(2),), imm=slot)
     m = _CALL_RE.match(line)
     if m:
-        return Instr(Opcode.CALL, uses=tuple(_split_names(m.group(2))), imm=m.group(1))
+        return _call(m, [])
     if line == "br":
         return Instr(Opcode.BR)
     if line == "nop":

@@ -38,7 +38,10 @@ def format_instr(instr: Instr) -> str:
         dsts = ", ".join(instr.defs)
         args = ", ".join(instr.uses)
         prefix = f"{dsts} = " if dsts else ""
-        return f"{prefix}call {instr.imm}({args})"
+        text = f"{prefix}call {instr.imm}({args})"
+        if instr.clobbers:
+            text += " clobbers " + ", ".join(instr.clobbers)
+        return text
     if op is Opcode.BR:
         return "br"
     if op is Opcode.CBR:

@@ -8,7 +8,7 @@ by :mod:`repro.machine.rewrite` (physical-register-only, pressure bounds).
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import Opcode, is_phys
 
 
 class IRValidationError(ValueError):
@@ -26,6 +26,7 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
     * terminator arity matches successor count (CBR has exactly two
       successors, RET none or an edge to stop, others at most one);
     * non-terminator instructions do not appear after a terminator;
+    * only calls clobber, and only physical registers;
     * every block except stop has at least one successor;
     * all blocks are reachable from start (unless *allow_unreachable*).
     """
@@ -53,6 +54,20 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
             if instr.is_terminator:
                 raise IRValidationError(
                     f"terminator {instr.op} not last in block {block.label}"
+                )
+        for instr in block.instrs:
+            if not instr.clobbers:
+                continue
+            if instr.op is not Opcode.CALL:
+                raise IRValidationError(
+                    f"{instr.op.value} in block {block.label} clobbers "
+                    f"{list(instr.clobbers)}; only calls clobber"
+                )
+            names = [r for r in instr.clobbers if not is_phys(r)]
+            if names:
+                raise IRValidationError(
+                    f"call in block {block.label} clobbers {names}, which "
+                    "are not physical registers"
                 )
         if term is not None and term.op is Opcode.CBR:
             if len(block.succ_labels) != 2:

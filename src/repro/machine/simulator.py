@@ -8,7 +8,8 @@ The simulator serves three purposes:
    (``SPILL_LD``/``SPILL_ST``), plus register moves.
 2. **Differential verification.** The same interpreter runs both the
    virtual-register input program and the allocator's physical-register
-   output; matching results certify the allocation was semantics-preserving.
+   output; matching results certify the allocation was semantics-preserving
+   (:func:`repro.pipeline.compile_function` runs that comparison).
 3. **Profiler.** Block and edge execution counts form a profile that
    :mod:`repro.analysis.frequency` can consume, reproducing the paper's
    claim that "profiling information can be trivially incorporated".
@@ -303,37 +304,3 @@ def simulate(
         profile=profile,
         scratch_refs=scratch_refs,
     )
-
-
-def run_equivalent(
-    original: Function,
-    allocated: Function,
-    args: Optional[Mapping[str, Any]] = None,
-    arrays: Optional[Mapping[str, Sequence[Any]]] = None,
-    max_steps: int = 2_000_000,
-) -> Tuple[ExecutionResult, ExecutionResult]:
-    """Run *original* and *allocated* on identical inputs and compare.
-
-    Raises :class:`SimulationError` if the observable outcomes (returned
-    values and final array contents) differ; returns both results so
-    callers can compare memory-reference statistics.
-    """
-    ref = simulate(original, args=args, arrays=arrays, max_steps=max_steps)
-    out = simulate(allocated, args=args, arrays=arrays, max_steps=max_steps)
-    if ref.returned != out.returned:
-        raise SimulationError(
-            f"return mismatch: original {ref.returned} vs allocated {out.returned}"
-        )
-    if _canonical(ref.arrays) != _canonical(out.arrays):
-        raise SimulationError(
-            "final memory mismatch between original and allocated programs"
-        )
-    return ref, out
-
-
-def _canonical(arrays: Dict[str, Dict[int, Any]]) -> Dict[str, Dict[int, Any]]:
-    """Drop zero entries so sparse/dense representations compare equal."""
-    return {
-        name: {i: v for i, v in contents.items() if v != 0}
-        for name, contents in arrays.items()
-    }

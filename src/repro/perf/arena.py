@@ -360,9 +360,8 @@ class FunctionArena:
         """Canonical sha256 of block *bid*'s identity and content.
 
         Covers the label, the ordered successor list, and -- per
-        instruction, over the arena's flat index range -- the uid, the
-        canonical text, and the clobber set (clobbers matter for
-        interference but are absent from the printed form).  Two blocks
+        instruction, over the arena's flat index range -- the uid and the
+        canonical text (which carries a call's clobbers).  Two blocks
         with equal digests are interchangeable as phase-1 inputs; the
         per-tile memoization layer folds these into tile fingerprints.
 
@@ -389,8 +388,6 @@ class FunctionArena:
         for i in range(self.block_start[bid], self.block_start[bid + 1]):
             instr = self.instrs[i]
             h.update(f"\n{instr.uid}|{format_instr(instr)}".encode())
-            if instr.clobbers:
-                h.update(("!" + ",".join(instr.clobbers)).encode())
         digest = h.hexdigest()
         digests[bid] = digest
         return digest

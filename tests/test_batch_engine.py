@@ -182,6 +182,28 @@ class TestMatchesSingleFunctionPipeline:
                 "program_refs": direct.allocated_run.program_memory_refs,
             }
 
+    def test_lowered_calls_match_direct_allocation(self):
+        """The engine allocates the canonical text parsed back; a call's
+        clobbers must survive that round trip, or the engine keeps values
+        in registers the call destroys."""
+        from repro.batch.worker import compute_record
+        from repro.core import HierarchicalConfig
+        from repro.machine.calls import lower_calls
+        from repro.workloads.callsites import make_caller
+
+        machine = Machine.with_linkage(8, num_callee_save=2)
+        fn = lower_calls(make_caller(2), machine)
+        direct, _, _ = compute_record(
+            "caller", fn, HierarchicalConfig(), machine, simulate=False
+        )
+        batch = BatchConfig(registers=8, simulate=False)
+        with BatchEngine(machine=machine, batch=batch) as engine:
+            record = engine.allocate_module(
+                [Workload(fn, name="caller")]
+            ).results[0].record
+        assert record.allocated_sha256 == direct.allocated_sha256
+        assert record.spilled == direct.spilled
+
     def test_static_path_when_no_inputs(self):
         module = [Workload(dot(), name="bare")]
         results = allocate_module(module)

@@ -10,6 +10,8 @@ reuse counters are part of the contract: they are how CI proves the
 cache is actually hitting rather than silently recomputing.
 """
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -24,14 +26,16 @@ from repro.batch.worker import compute_record
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.incremental import (
     TileCacheStore,
+    copy_allocation,
     tile_invalidation_key,
 )
+from repro.core.summary import TileAllocation, TileMetrics
 from repro.ir.instructions import Opcode
 from repro.machine.target import Machine
 from repro.perf.arena import FunctionArena
 from repro.pipeline import prepare
 from repro.workloads.generators import random_program
-from repro.workloads.kernels import sequential_loops
+from repro.workloads.kernels import matmul, sequential_loops
 
 MACHINE = Machine.simple(8)
 SMALL_MACHINE = Machine.simple(4)
@@ -116,6 +120,61 @@ class TestTileCacheStore:
         )
         assert base != other_cfg
         assert base != other_machine
+
+
+# ----------------------------------------------------------------------
+# the one copy of tile state
+# ----------------------------------------------------------------------
+class TestCopyAllocation:
+    def test_copy_covers_every_field(self):
+        """Every field of a real allocation is carried over; every dict,
+        set and list (the metrics' dicts too) is a new object, and the
+        graph stays shared until phase 2 clones it."""
+        fn = prepare(matmul())
+        allocator = HierarchicalAllocator(HierarchicalConfig())
+        allocator.allocate(fn, SMALL_MACHINE)
+        allocations = allocator.last_allocations
+        assert any(a.spilled for a in allocations.values())
+        for alloc in allocations.values():
+            copy = copy_allocation(alloc)
+            assert copy == alloc
+            for f in fields(TileAllocation):
+                value = getattr(alloc, f.name)
+                if f.name == "graph":
+                    assert getattr(copy, f.name) is value
+                elif isinstance(value, (dict, set, list, TileMetrics)):
+                    assert getattr(copy, f.name) is not value, f.name
+            for f in fields(TileMetrics):
+                assert getattr(copy.metrics, f.name) is not getattr(
+                    alloc.metrics, f.name
+                )
+                assert getattr(copy.metrics, f.name) == getattr(
+                    alloc.metrics, f.name
+                )
+
+    def test_phase2_leaves_stored_copies_pristine(self):
+        """Phase 2 binds, adds intruders and temps to the live
+        allocation; the stored phase-1 copy of each tile must see none
+        of it, or a later hit would replay phase-2 state."""
+        fn = prepare(matmul())
+        store = TileCacheStore()
+        _, allocator = _allocate(fn, store, machine=SMALL_MACHINE)
+        stored = {
+            entry.tile_id: entry
+            for key, entry in store._entries.items()
+            if key[0] == "p1"
+        }
+        live = allocator.last_allocations
+        assert stored.keys() == live.keys()
+        assert any(alloc.phys for alloc in live.values())
+        for tid, alloc in live.items():
+            entry = stored[tid]
+            assert entry.phys == {} and entry.summary_phys == {}
+            assert entry.graph is not alloc.graph
+            assert len(entry.graph) <= len(alloc.graph)
+            assert entry.metrics.transfer.items() <= (
+                alloc.metrics.transfer.items()
+            )
 
 
 # ----------------------------------------------------------------------
@@ -262,36 +321,37 @@ class TestSpilledTiles:
 # batch plumbing
 # ----------------------------------------------------------------------
 class TestBatchPlumbing:
-    def test_record_round_trips_tile_fingerprints(self):
+    def test_store_attached_record_round_trips(self):
         fn = prepare(sequential_loops(4))
         store = TileCacheStore()
         record, _, counters = compute_record(
             "f", fn, HierarchicalConfig(), MACHINE, simulate=False,
             tile_store=store,
         )
-        assert record.version == FORMAT_VERSION == 3
-        assert record.tile_fingerprints
+        assert record.version == FORMAT_VERSION == 4
         assert counters["tile_misses"] > 0
-        back = record_from_dict(record_to_dict(record))
-        assert back == record
-        assert back.tile_fingerprints == record.tile_fingerprints
+        assert record_from_dict(record_to_dict(record)) == record
 
     def test_records_identical_with_and_without_store(self):
+        """A record is a pure function of its cache key: a tile store
+        changes how it is computed, never what it says."""
         fn = prepare(sequential_loops(4))
         plain, _, no_counters = compute_record(
             "f", fn, HierarchicalConfig(), MACHINE, simulate=False,
         )
-        stored, _, _ = compute_record(
+        store = TileCacheStore()
+        cold, _, _ = compute_record(
             "f", fn, HierarchicalConfig(), MACHINE, simulate=False,
-            tile_store=TileCacheStore(),
+            tile_store=store,
+        )
+        warm, _, counters = compute_record(
+            "f", fn, HierarchicalConfig(), MACHINE, simulate=False,
+            tile_store=store,
         )
         assert no_counters is None
-        assert plain.allocated_sha256 == stored.allocated_sha256
-        assert plain.spilled == stored.spilled
-        assert plain.bindings == stored.bindings
-        # tile_fingerprints are observability-only and differ by design
-        # (only store-attached runs compute them).
-        assert plain.tile_fingerprints == ()
+        assert counters["tile_misses"] == 0
+        assert cold == plain
+        assert warm == plain
 
     def test_engine_counters_inline(self):
         from repro.batch import BatchConfig, BatchEngine, synthetic_module

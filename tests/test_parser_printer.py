@@ -5,8 +5,11 @@ import pytest
 from repro.ir import format_function, format_instr, parse_function
 from repro.ir.instructions import Instr, Opcode
 from repro.ir.parser import IRParseError
-from repro.ir.validate import validate_function
+from repro.ir.validate import IRValidationError, validate_function
+from repro.machine.calls import lower_calls
 from repro.machine.simulator import simulate
+from repro.machine.target import Machine
+from repro.workloads.callsites import make_caller
 from repro.workloads.kernels import cond_sum, dot, matmul
 from repro.workloads.generators import random_program
 
@@ -57,12 +60,65 @@ class TestRoundTrip:
         b = simulate(back, args=args, arrays={"A": [1, 2, 3, 4, 5, 6, 7, 8]})
         assert a.returned == b.returned
 
+    def test_call_clobbers_round_trip(self):
+        """Linkage lowering marks each call's caller-save clobbers; the
+        canonical text must carry them, or an allocator working from the
+        parsed-back text keeps values in clobbered registers."""
+        fn = lower_calls(make_caller(2), Machine.with_linkage(8))
+        text = format_function(fn)
+        back = parse_function(text)
+        assert format_function(back) == text
+
+        def clobbers(f):
+            return [i.clobbers for b in f for i in b.instrs if i.clobbers]
+
+        assert clobbers(back) == clobbers(fn)
+        assert len(clobbers(back)) == 2
+
+    def test_bare_call_with_clobbers(self):
+        text = (
+            "func f(x) start=a stop=b\n"
+            "a:\n  call g(x) clobbers R1, R2\n  ret\n  -> b\nb:\n"
+        )
+        call = parse_function(text).blocks["a"].instrs[0]
+        assert call.defs == () and call.uses == ("x",)
+        assert call.clobbers == ("R1", "R2")
+        assert format_instr(call) == "call g(x) clobbers R1, R2"
+
     def test_dot_executes_after_round_trip(self):
         back = parse_function(format_function(dot()))
         result = simulate(
             back, args={"n": 3}, arrays={"A": [1, 2, 3], "B": [4, 5, 6]}
         )
         assert result.returned == (32,)
+
+
+class TestClobberValidation:
+    @pytest.mark.parametrize(
+        "instr,message",
+        [
+            (
+                Instr(Opcode.ADD, defs=("y",), uses=("x", "x"),
+                      clobbers=("R1",)),
+                "only calls clobber",
+            ),
+            (
+                Instr(Opcode.CALL, defs=("y",), uses=("x",), imm="g",
+                      clobbers=("R1", "x")),
+                "not physical registers",
+            ),
+        ],
+    )
+    def test_bad_clobbers_rejected(self, instr, message):
+        """Only a call may clobber, and only physical registers (the
+        parser accepts any name after ``clobbers``; the service validates
+        client text with this check)."""
+        fn = parse_function(
+            "func f(x) start=a stop=b\na:\n  ret x\n  -> b\nb:\n"
+        )
+        fn.blocks["a"].instrs.insert(0, instr)
+        with pytest.raises(IRValidationError, match=message):
+            validate_function(fn)
 
 
 class TestParserErrors:

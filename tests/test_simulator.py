@@ -7,7 +7,6 @@ from repro.ir.instructions import Instr, Opcode
 from repro.machine.simulator import (
     POISON,
     SimulationError,
-    run_equivalent,
     simulate,
 )
 from repro.workloads.kernels import dot
@@ -196,19 +195,3 @@ class TestCalls:
         fn = b.finish()
         result = simulate(fn, intrinsics={"triple": lambda v: 3 * v})
         assert result.returned == (12,)
-
-
-class TestRunEquivalent:
-    def test_matching_pair(self):
-        a, b = run_equivalent(
-            dot(), dot(), args={"n": 2}, arrays={"A": [1, 2], "B": [3, 4]}
-        )
-        assert a.returned == b.returned == (11,)
-
-    def test_mismatch_detected(self, diamond_fn):
-        broken = diamond_fn.clone()
-        broken.blocks["then"].instrs[0] = Instr(
-            Opcode.SUB, defs=("r",), uses=("x", "ten")
-        )
-        with pytest.raises(SimulationError, match="return mismatch"):
-            run_equivalent(diamond_fn, broken, args={"x": 3})
