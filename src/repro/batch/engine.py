@@ -241,6 +241,47 @@ class ModuleAllocation:
         return not self.failures
 
 
+@dataclass(frozen=True)
+class CanonicalSource:
+    """A parsed, validated function reduced to what the engine keys and
+    admits it by: its name, its canonical printed ``text``, that text's
+    ``fingerprint`` and the function's admission estimate ``cost``
+    (:func:`~repro.core.budget.estimate_cost`).
+
+    It holds no :class:`~repro.ir.function.Function`: a cache miss
+    allocates ``parse_function(text)`` either way.
+    """
+
+    name: str
+    text: str
+    fingerprint: str
+    cost: int
+
+
+def canonical_source(fn) -> CanonicalSource:
+    """Format *fn* once and keep what keying and admission read."""
+    text = format_function(fn)
+    return CanonicalSource(
+        fn.name, text, text_fingerprint(text), estimate_cost(fn)
+    )
+
+
+@dataclass
+class SourceWorkload:
+    """A workload known by its :class:`CanonicalSource` instead of a
+    function object -- what the allocation service submits.  ``args``,
+    ``arrays`` and ``name`` mean what they mean on
+    :class:`~repro.pipeline.Workload`."""
+
+    source: CanonicalSource
+    args: Dict[str, int] = field(default_factory=dict)
+    arrays: Dict[str, List[int]] = field(default_factory=dict)
+    name: Optional[str] = None
+
+    def label(self) -> str:
+        return self.name or self.source.name
+
+
 @dataclass
 class _Task:
     """One deduplicated cache miss in flight.
@@ -466,10 +507,20 @@ class BatchEngine:
         coalescing on: two workloads share an in-flight computation if
         and only if their cache keys are equal, and key parity with the
         engine is guaranteed because both call this one method.
+
+        A :class:`SourceWorkload` carries its canonical text and
+        fingerprint, so keying it formats nothing.  Any other workload
+        is formatted on every call: its function object may have been
+        edited in place since the last call, and nothing would notice a
+        stale text.
         """
         name = workload.label()
-        text = format_function(workload.fn)
-        fingerprint = text_fingerprint(text)
+        if isinstance(workload, SourceWorkload):
+            text = workload.source.text
+            fingerprint = workload.source.fingerprint
+        else:
+            text = format_function(workload.fn)
+            fingerprint = text_fingerprint(text)
         inputs = (
             inputs_digest(workload.args, workload.arrays)
             if self.batch.simulate
@@ -534,7 +585,11 @@ class BatchEngine:
                 # Admission is decided *before* the cache is consulted,
                 # so the admit/reject stream is a pure function of the
                 # input module, never of cache state.
-                cost = estimate_cost(workload.fn)
+                cost = (
+                    workload.source.cost
+                    if isinstance(workload, SourceWorkload)
+                    else estimate_cost(workload.fn)
+                )
                 if cost > admission_limit:
                     self.stats.rejected += 1
                     rejected_keys[key] = (cost, admission_limit)

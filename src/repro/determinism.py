@@ -205,7 +205,8 @@ def _service_mode(
     Starts a real :class:`~repro.service.AllocationService` on a loopback
     ephemeral port and submits the workloads through the real client
     (functions as text, simulator inputs attached).  Both requests must
-    succeed, the warm one entirely from the service's shared cache, and
+    succeed, the warm one entirely from the service's shared cache and
+    with every function decoded from its source memo (no parse), and
     the cold wire payloads must equal the warm ones.
     """
     import asyncio
@@ -229,18 +230,24 @@ def _service_mode(
         ))
         async with AllocationService(config) as service:
             async with ServiceClient("127.0.0.1", service.port) as client:
-                return (
-                    await client.allocate(specs),
-                    await client.allocate(specs),
-                )
+                cold = await client.allocate(specs)
+                before = service.metrics_payload()["service"]["sources"]
+                warm = await client.allocate(specs)
+                after = service.metrics_payload()["service"]["sources"]
+                return cold, warm, after["hits"] - before["hits"]
 
-    cold, warm = asyncio.run(_serve_and_allocate())
+    cold, warm, memo_hits = asyncio.run(_serve_and_allocate())
     for reply, label in ((cold, "cold"), (warm, "warm")):
         if reply.status != 200:
             raise RuntimeError(
                 f"service {label} request failed: {reply.status} "
                 f"{reply.data}"
             )
+    if memo_hits != len(specs):
+        raise RuntimeError(
+            f"warm served request decoded {memo_hits} of {len(specs)} "
+            "functions from the source memo; the rest were parsed again"
+        )
 
     out: ModeResult = {}
     for name, c, w in zip(names, cold.data["results"],

@@ -18,8 +18,10 @@ tests and the load bench all parse bytes with the same code:
 * :class:`ChunkedWriter` -- incremental chunked response bodies.
 
 Protocol violations raise :class:`ProtocolError` carrying the HTTP
-status the server should answer with (400 malformed, 413 too large, 505
-bad version); the server maps it to a structured JSON error body.
+status the server should answer with (400 malformed, 411 a
+``Transfer-Encoding`` request body, 413 too large, 505 bad version); the
+server maps it to a structured JSON error body and closes the
+connection.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ MAX_REQUEST_LINE = 8192
 MAX_HEADER_LINE = 8192
 MAX_HEADERS = 128
 
-#: StreamReader limit for connections (must exceed the header bounds).
+#: StreamReader limit for the server's connections (must exceed the line
+#: bounds, so that an over-long line is answered with a 400 instead of
+#: overrunning the reader's buffer).
 READ_LIMIT = 1 << 20
 
 _REASONS = {
@@ -44,6 +48,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     408: "Request Timeout",
+    411: "Length Required",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -100,10 +105,16 @@ class Response:
         return self.headers.get("connection", "").lower() != "close"
 
 
-async def _read_line(reader: asyncio.StreamReader, limit: int) -> bytes:
-    line = await reader.readline()
+async def _read_line(
+    reader: asyncio.StreamReader, limit: int, what: str = "header line"
+) -> bytes:
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # The line overran the reader's own buffer limit.
+        raise ProtocolError(400, f"{what} too long")
     if len(line) > limit:
-        raise ProtocolError(400, "header line too long")
+        raise ProtocolError(400, f"{what} too long")
     return line
 
 
@@ -128,8 +139,13 @@ async def read_request(
     reader: asyncio.StreamReader, max_body: int
 ) -> Optional[Request]:
     """Parse one request off *reader*; ``None`` on a clean EOF (the
-    client closed a keep-alive connection between requests)."""
-    line = await _read_line(reader, MAX_REQUEST_LINE)
+    client closed a keep-alive connection between requests).
+
+    Bodies are read by ``Content-Length`` only.  A request that names a
+    ``Transfer-Encoding`` fails with 411: its body cannot be delimited,
+    and reading it as empty would parse its bytes as the next request.
+    """
+    line = await _read_line(reader, MAX_REQUEST_LINE, "request line")
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -139,6 +155,11 @@ async def read_request(
     if version not in ("HTTP/1.1", "HTTP/1.0"):
         raise ProtocolError(505, f"unsupported version {version}")
     headers = await _read_headers(reader)
+    if "transfer-encoding" in headers:
+        raise ProtocolError(
+            411, "Transfer-Encoding request bodies are not supported; "
+            "send Content-Length",
+        )
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -284,7 +305,7 @@ async def read_response(reader: asyncio.StreamReader) -> Response:
     boundaries (the streaming protocol is one NDJSON line per chunk) and
     ``body`` is their concatenation.
     """
-    line = await _read_line(reader, MAX_REQUEST_LINE)
+    line = await _read_line(reader, MAX_REQUEST_LINE, "status line")
     if not line:
         raise ProtocolError(400, "connection closed before status line")
     parts = line.decode("latin-1").strip().split(maxsplit=2)

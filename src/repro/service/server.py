@@ -17,7 +17,9 @@ Core mechanics, in the order a request meets them:
 1. **Parsing** happens on the event loop and is fault-isolated per
    function: a malformed body yields a classified ``400`` (error classes
    from :func:`repro.errors.classify_exception`), never a ``500``, and
-   never touches the engine.
+   never touches the engine.  A text the service parsed before is not
+   parsed again: the source memo (:class:`SourceMemo`) hands back its
+   canonical text, fingerprint and cost estimate.
 2. **Coalescing** -- every function is keyed by the engine's own cache
    key (:meth:`~repro.batch.engine.BatchEngine.entry_for`, so key parity
    with the engine is structural).  A key already in flight for *any*
@@ -54,18 +56,27 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import hashlib
 import json
+import sys
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.batch.engine import BatchEngine, BatchResult
+from repro.batch.engine import (
+    BatchEngine,
+    BatchResult,
+    CanonicalSource,
+    SourceWorkload,
+    canonical_source,
+)
 from repro.errors import TaskError, classify_exception, task_error_from_exception
 from repro.pipeline import load_function_source
 from repro.service.config import ServiceConfig, describe_config
 from repro.service.http import (
+    READ_LIMIT,
     ChunkedWriter,
     ProtocolError,
     Request,
@@ -154,6 +165,79 @@ class LatencyHistogram:
         }
 
 
+#: Bytes the source memo may retain: about 30 times the 0.53 MB of
+#: distinct text a 20 s perfbench ``serve_mixed`` run submits.  A bound
+#: on bytes rather than entries keeps the ceiling independent of
+#: ``max_body_bytes``.
+SOURCE_MEMO_BYTES = 16 << 20
+
+#: What one memo entry costs besides its canonical text: the digest key,
+#: the name and fingerprint strings and the objects around them (470
+#: bytes measured with tracemalloc on CPython 3.11).  Charging it keeps
+#: many tiny texts from outgrowing the bound.
+SOURCE_ENTRY_BYTES = 512
+
+
+class SourceMemo:
+    """LRU map from (sha256 of a submitted text, ``lang``) to the
+    :class:`~repro.batch.engine.CanonicalSource` its parse produced.
+
+    Parsing, MiniLang compilation and validation are pure functions of
+    (text, lang), so a hit is as valid as the first parse.  Only
+    successful parses are stored: a bad text is parsed again and fails
+    the same way.  Entries are evicted least recently used first once
+    the memory of their texts plus :data:`SOURCE_ENTRY_BYTES` each
+    exceeds *max_bytes*.  Only the event loop touches the memo, so it
+    needs no lock.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self._entries: "OrderedDict[Tuple[bytes, str], CanonicalSource]" = (
+            OrderedDict()
+        )
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    @staticmethod
+    def key(text: str, lang: str) -> Tuple[bytes, str]:
+        # surrogatepass: JSON may carry lone surrogates, which plain
+        # UTF-8 refuses to encode.
+        return (
+            hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest(),
+            lang,
+        )
+
+    def get(self, key: Tuple[bytes, str]) -> Optional[CanonicalSource]:
+        source = self._entries.get(key)
+        if source is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        return source
+
+    def put(self, key: Tuple[bytes, str], source: CanonicalSource) -> None:
+        self._entries[key] = source
+        self.bytes += _retained_bytes(source)
+        while self.bytes > self.max_bytes:
+            _, evicted = self._entries.popitem(last=False)
+            self.bytes -= _retained_bytes(evicted)
+
+    def snapshot(self) -> Dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._entries),
+            "bytes": self.bytes,
+        }
+
+
+def _retained_bytes(source: CanonicalSource) -> int:
+    return sys.getsizeof(source.text) + SOURCE_ENTRY_BYTES
+
+
 @dataclass
 class _Entry:
     """One distinct cache key somewhere between admission and response.
@@ -166,7 +250,7 @@ class _Entry:
     key: str
     name: str
     fingerprint: str
-    workload: object
+    workload: SourceWorkload
     future: asyncio.Future = field(repr=False, default=None)
 
 
@@ -219,6 +303,7 @@ class AllocationService:
         self._unadmitted_total = 0
         self._streamed_total = 0
         self._queue_peak = 0
+        self._sources = SourceMemo(SOURCE_MEMO_BYTES)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -252,6 +337,7 @@ class AllocationService:
             host=self.config.host,
             port=self.config.port,
             backlog=2048,
+            limit=READ_LIMIT,
         )
 
     async def shutdown(self) -> None:
@@ -398,11 +484,7 @@ class AllocationService:
                     ))
                     await writer.drain()
                     break
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    asyncio.LimitOverrunError,
-                ):
+                except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 if request is None:
                     break
@@ -569,7 +651,9 @@ class AllocationService:
         await writer.drain()
         return 200, functions, coalesced
 
-    def _parse_allocate_body(self, body: bytes) -> List[Tuple[str, object]]:
+    def _parse_allocate_body(
+        self, body: bytes
+    ) -> List[Tuple[str, SourceWorkload]]:
         """``[(display_name, workload)]`` or a classified 400.
 
         Per-function parse/compile/validate failures are collected into
@@ -577,8 +661,6 @@ class AllocationService:
         whole request -- allocation of a partially-understood module
         would not be a deterministic function of the submission.
         """
-        from repro.pipeline import Workload
-
         try:
             doc = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -601,11 +683,11 @@ class AllocationService:
                 f"{len(functions)} functions exceeds max_functions="
                 f"{self.config.max_functions}",
             )
-        out: List[Tuple[str, object]] = []
+        out: List[Tuple[str, SourceWorkload]] = []
         errors: List[Dict[str, object]] = []
         for index, spec in enumerate(functions):
             try:
-                name, workload = self._build_workload(spec, Workload)
+                name, workload = self._build_workload(spec)
             except ServiceError as exc:
                 errors.append({
                     "index": index, "stage": "schema",
@@ -628,7 +710,7 @@ class AllocationService:
             )
         return out
 
-    def _build_workload(self, spec, workload_cls) -> Tuple[str, object]:
+    def _build_workload(self, spec) -> Tuple[str, SourceWorkload]:
         if not isinstance(spec, dict) or not isinstance(
             spec.get("text"), str
         ):
@@ -659,23 +741,30 @@ class AllocationService:
                 400, "bad_request",
                 '"arrays" must map names to integer lists',
             )
-        fn = load_function_source(spec["text"], lang)
+        key = self._sources.key(spec["text"], lang)
+        source = self._sources.get(key)
+        if source is None:
+            source = canonical_source(
+                load_function_source(spec["text"], lang)
+            )
+            self._sources.put(key, source)
         name = spec.get("name")
         if name is not None and not isinstance(name, str):
             raise ServiceError(400, "bad_request", '"name" must be a string')
-        workload = workload_cls(
-            fn, dict(args), {k: list(v) for k, v in arrays.items()},
-            name=name or fn.name,
+        workload = SourceWorkload(
+            source, dict(args), {k: list(v) for k, v in arrays.items()},
+            name=name,
         )
         return workload.label(), workload
 
     def _check_admission(
-        self, parsed: Sequence[Tuple[str, object]]
+        self, parsed: Sequence[Tuple[str, SourceWorkload]]
     ) -> None:
         """Admission control against ``batch.admission_limit``.
 
         Functions whose deterministic cost estimate
-        (:func:`repro.core.budget.estimate_cost`) exceeds the configured
+        (:func:`repro.core.budget.estimate_cost`, computed once per text
+        and carried on the workload's source) exceeds the configured
         limit fail the whole request with a structured ``413`` -- like
         parse errors, all-or-nothing, so the admit/reject answer is a
         pure function of the submission.  The engine applies the same
@@ -686,11 +775,9 @@ class AllocationService:
         limit = self.config.batch.admission_limit
         if limit is None:
             return
-        from repro.core.budget import estimate_cost
-
         over: List[Dict[str, object]] = []
         for index, (name, workload) in enumerate(parsed):
-            cost = estimate_cost(workload.fn)
+            cost = workload.source.cost
             if cost > limit:
                 over.append({"index": index, "name": name, "cost": cost})
         if over:
@@ -703,7 +790,7 @@ class AllocationService:
             )
 
     def _admit(
-        self, parsed: Sequence[Tuple[str, object]]
+        self, parsed: Sequence[Tuple[str, SourceWorkload]]
     ) -> List[Tuple[str, _Entry, bool]]:
         """Coalesce against in-flight work, then admit atomically.
 
@@ -821,6 +908,7 @@ class AllocationService:
                     "peak": self._queue_peak,
                 },
                 "inflight_keys": len(self._inflight),
+                "sources": self._sources.snapshot(),
                 "latency_ms": {
                     endpoint: hist.snapshot()
                     for endpoint, hist in sorted(self._latency.items())

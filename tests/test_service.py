@@ -23,6 +23,7 @@ windows, 429s) are deterministic to observe.
 """
 
 import asyncio
+import collections
 import json
 import os
 import re
@@ -33,10 +34,16 @@ import time
 
 import pytest
 
+import repro.batch.engine as engine_module
+import repro.batch.worker as worker_module
+import repro.minilang as minilang_module
+import repro.pipeline as pipeline_module
+import repro.service.server as server_module
 from repro.batch import BatchConfig, synthetic_module
+from repro.batch.engine import canonical_source
 from repro.batch.faultinject import ENV_VAR
 from repro.ir import format_function
-from repro.pipeline import allocate_module
+from repro.pipeline import allocate_module, load_function_source
 from repro.service import (
     SERVICE_ERROR_CLASSES,
     AllocationService,
@@ -73,18 +80,27 @@ async def wait_until(predicate, timeout=10.0, interval=0.002):
     raise AssertionError(f"condition not met within {timeout}s")
 
 
-async def raw_roundtrip(port: int, data: bytes):
+async def raw_roundtrip(port: int, data: bytes, rest: bool = False):
+    """Send *data*, read one response.  With *rest*, also read until the
+    server closes and return ``(response, bytes after it)``."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         writer.write(data)
         await writer.drain()
-        return await read_response(reader)
+        response = await read_response(reader)
+        if rest:
+            return response, await reader.read()
+        return response
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+def memo_counters(svc) -> dict:
+    return svc.metrics_payload()["service"]["sources"]
 
 
 ML_ADD = "func f(n) { return n + 2; }"
@@ -164,6 +180,57 @@ class TestHttpProtocol:
 
         run(main())
 
+    def test_over_long_lines_are_protocol_400s(self):
+        """A line past the reader's own buffer limit makes
+        ``StreamReader.readline`` raise ``ValueError``; one within it
+        but past the line bound fails by length.  Both are a 400 that
+        names the line that was too long."""
+        async def parse(raw: bytes, limit: int):
+            reader = asyncio.StreamReader(limit=limit)
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_request(reader, 64)
+
+        async def main():
+            long = b"a" * 10_000
+            cases = [
+                (b"GET /" + long + b" HTTP/1.1\r\n\r\n", 1024,
+                 "request line too long"),
+                (b"GET / HTTP/1.1\r\nX-Big: " + long + b"\r\n\r\n", 1024,
+                 "header line too long"),
+                (b"GET /" + long + b" HTTP/1.1\r\n\r\n", 1 << 20,
+                 "request line too long"),
+                (b"GET / HTTP/1.1\r\nX-Big: " + long + b"\r\n\r\n",
+                 1 << 20, "header line too long"),
+            ]
+            for raw, limit, message in cases:
+                with pytest.raises(ProtocolError) as exc:
+                    await parse(raw, limit)
+                assert (exc.value.status, str(exc.value)) == (400, message)
+
+        run(main())
+
+    def test_transfer_encoding_requests_are_411(self):
+        async def parse(raw: bytes):
+            reader = asyncio.StreamReader()
+            reader.feed_data(raw)
+            reader.feed_eof()
+            return await read_request(reader, 1024)
+
+        async def main():
+            for headers in (
+                b"Transfer-Encoding: chunked\r\n",
+                b"Content-Length: 5\r\nTransfer-Encoding: chunked\r\n",
+            ):
+                with pytest.raises(ProtocolError) as exc:
+                    await parse(
+                        b"POST / HTTP/1.1\r\n" + headers
+                        + b"\r\n5\r\nhello\r\n0\r\n\r\n"
+                    )
+                assert exc.value.status == 411
+
+        run(main())
+
     def test_response_roundtrip_fixed_and_chunked(self):
         async def main():
             reader = asyncio.StreamReader()
@@ -233,7 +300,9 @@ class TestAllocate:
     def test_served_results_match_direct_allocate_module(self):
         """The parity contract: the service is a transport, not a second
         allocator.  Same workloads direct vs served -> identical
-        fingerprints, hashes, spill sets and simulated costs."""
+        fingerprints, hashes, spill sets and simulated costs, both when
+        the service parses the texts and when it resubmits them from its
+        source memo (the second request, which also returns the text)."""
         workloads = synthetic_module(6, seed=5)
         direct = allocate_module(
             workloads, batch=BatchConfig(batch_workers=0, simulate=True)
@@ -253,20 +322,27 @@ class TestAllocate:
                 async with ServiceClient("127.0.0.1", svc.port) as client:
                     reply = await client.allocate(specs)
                     assert reply.status == 200
-                    return reply.data["results"]
+                    hits = memo_counters(svc)["hits"]
+                    again = await client.allocate(specs, include_text=True)
+                    assert again.status == 200
+                    assert memo_counters(svc)["hits"] - hits == len(specs)
+                    return reply.data["results"], again.data["results"]
 
-        served = run(main())
-        assert [r["name"] for r in served] == [r.name for r in direct]
-        for payload, result in zip(served, direct):
-            record = result.record
-            assert payload["ok"]
-            assert payload["fingerprint"] == result.fingerprint
-            assert payload["allocated_sha256"] == record.allocated_sha256
-            assert payload["blocks"] == record.blocks
-            assert payload["spilled"] == list(record.spilled)
-            assert payload["static_costs"] == dict(record.static_costs)
-            assert payload["costs"] == dict(record.costs)
-            assert payload["returned"] == record.returned
+        served, resubmitted = run(main())
+        for results in (served, resubmitted):
+            assert [r["name"] for r in results] == [r.name for r in direct]
+            for payload, result in zip(results, direct):
+                record = result.record
+                assert payload["ok"]
+                assert payload["fingerprint"] == result.fingerprint
+                assert payload["allocated_sha256"] == record.allocated_sha256
+                assert payload["blocks"] == record.blocks
+                assert payload["spilled"] == list(record.spilled)
+                assert payload["static_costs"] == dict(record.static_costs)
+                assert payload["costs"] == dict(record.costs)
+                assert payload["returned"] == record.returned
+        for payload, result in zip(resubmitted, direct):
+            assert payload["allocated_text"] == result.record.allocated_text
 
     def test_include_text_returns_allocated_program(self):
         async def main():
@@ -399,6 +475,193 @@ class TestCoalescing:
                         first["allocated_sha256"] == dup["allocated_sha256"]
                     )
                 assert svc.engine.stats.computed == 1
+
+        run(main())
+
+
+# ----------------------------------------------------------------------
+# source memo
+# ----------------------------------------------------------------------
+def count_calls(monkeypatch, targets) -> collections.Counter:
+    """Wrap ``(module, attribute)`` pairs with call counters, at the
+    names their callers look them up under."""
+    calls: collections.Counter = collections.Counter()
+
+    def wrap(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[f"{module.__name__}.{attr}"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    for module, attr in targets:
+        wrap(module, attr)
+    return calls
+
+
+class TestSourceMemo:
+    def test_memo_hit_parses_compiles_validates_and_formats_nothing(
+        self, monkeypatch
+    ):
+        ir_text = format_function(load_function_source(ml_source(7)))
+        specs = [
+            {"text": ML_ADD, "args": {"n": 1}},
+            {"text": ir_text, "args": {"n": 2}},
+        ]
+        calls = count_calls(monkeypatch, [
+            (pipeline_module, "parse_function"),
+            (minilang_module, "compile_source"),
+            (pipeline_module, "validate_function"),
+            (engine_module, "format_function"),
+            (engine_module, "parse_function"),
+            (worker_module, "format_function"),
+        ])
+
+        async def main():
+            async with AllocationService(service_config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    first = await client.allocate(specs)
+                    assert first.status == 200
+                    # every wrapper sits where the code looks it up
+                    assert sorted(calls) == sorted([
+                        "repro.pipeline.parse_function",
+                        "repro.minilang.compile_source",
+                        "repro.pipeline.validate_function",
+                        "repro.batch.engine.format_function",
+                        "repro.batch.engine.parse_function",
+                        "repro.batch.worker.format_function",
+                    ])
+                    calls.clear()
+                    second = await client.allocate(specs)
+                    assert second.status == 200
+                    assert dict(calls) == {}
+                    assert memo_counters(svc)["hits"] == len(specs)
+                    assert [r["cached"] for r in second.data["results"]] == [
+                        True, True,
+                    ]
+
+        run(main())
+
+    def test_failed_parses_are_not_memoized(self):
+        specs = [
+            {"text": "func broken("},
+            {"text": "func f() start=e\nnonsense"},
+            # a lone surrogate: valid JSON, but not encodable as UTF-8
+            {"text": "func f(n) { return n; } \ud800"},
+        ]
+
+        async def main():
+            async with AllocationService(service_config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    first = await client.allocate(specs)
+                    second = await client.allocate(specs)
+                    assert first.status == second.status == 400
+                    assert first.data["errors"] == second.data["errors"]
+                    assert [e["error_class"] for e in first.data["errors"]] == [
+                        "parse", "parse", "parse",
+                    ]
+                    assert "unexpected character" in (
+                        first.data["errors"][2]["message"]
+                    )
+                    assert memo_counters(svc) == {
+                        "hits": 0, "misses": 6, "entries": 0, "bytes": 0,
+                    }
+
+        run(main())
+
+    def test_request_fields_stay_per_request(self):
+        """The memo answers for the text alone: name, args and arrays
+        are read from each request."""
+        async def main():
+            async with AllocationService(service_config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    named = [
+                        await client.allocate(
+                            [{"text": ML_ADD, "args": {"n": 1}, **extra}]
+                        )
+                        for extra in ({"name": "a"}, {"name": "b"}, {})
+                    ]
+                    assert [r.data["results"][0]["name"] for r in named] == [
+                        "a", "b", "f",
+                    ]
+                    assert [
+                        r.data["results"][0]["cached"] for r in named
+                    ] == [False, True, True]
+                    # different simulator inputs: a different cache key
+                    other = await client.allocate(
+                        [{"text": ML_ADD, "args": {"n": 4}}]
+                    )
+                    (res,) = other.data["results"]
+                    assert (res["cached"], res["returned"]) == (False, [6])
+                    assert svc.engine.stats.computed == 2
+                    # a memoized text does not skip the schema checks
+                    bad = await client.allocate(
+                        [{"text": ML_ADD, "args": {"n": "three"}}]
+                    )
+                    assert bad.status == 400
+                    assert bad.data["errors"] == [{
+                        "index": 0, "stage": "schema",
+                        "error_class": "bad_request",
+                        "message": '"args" must map names to integers',
+                    }]
+                    memo = memo_counters(svc)
+                    assert (memo["hits"], memo["misses"]) == (3, 1)
+                    assert memo["entries"] == 1
+
+        run(main())
+
+    def test_lang_is_part_of_the_key(self):
+        ir_text = format_function(load_function_source(ML_ADD))
+
+        async def main():
+            async with AllocationService(service_config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    replies = [
+                        await client.allocate([{"text": ir_text, **lang}])
+                        for lang in ({"lang": "ir"}, {}, {"lang": "ir"})
+                    ]
+                    assert [r.status for r in replies] == [200] * 3
+                    assert len({
+                        r.data["results"][0]["allocated_sha256"]
+                        for r in replies
+                    }) == 1
+                    memo = memo_counters(svc)
+                    assert (memo["hits"], memo["misses"]) == (1, 2)
+                    assert memo["entries"] == 2
+
+        run(main())
+
+    def test_bound_evicts_least_recently_used(self, monkeypatch):
+        a, b, c = (ml_source(i) for i in (1, 2, 3))
+        sizes = [
+            server_module._retained_bytes(
+                canonical_source(load_function_source(text))
+            )
+            for text in (a, b, c)
+        ]
+        assert 3 * min(sizes) > 2 * max(sizes)  # two fit, three do not
+        monkeypatch.setattr(server_module, "SOURCE_MEMO_BYTES", 2 * max(sizes))
+        calls = count_calls(
+            monkeypatch, [(server_module, "load_function_source")]
+        )
+
+        async def main():
+            async with AllocationService(service_config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    parsed = []
+                    for text in (a, b, a, c, a, b):
+                        before = sum(calls.values())
+                        reply = await client.allocate([{"text": text}])
+                        assert reply.status == 200
+                        parsed.append(sum(calls.values()) - before)
+                    # a was used after b, so c evicted b; b's resubmission
+                    # is parsed again and evicts c
+                    assert parsed == [1, 1, 0, 1, 0, 1]
+                    memo = memo_counters(svc)
+                    assert memo["entries"] == 2
+                    assert memo["bytes"] <= 2 * max(sizes)
 
         run(main())
 
@@ -583,6 +846,56 @@ class TestBadRequests:
 
         run(main())
 
+    def test_over_long_lines_get_a_400_response(self):
+        """Lines past asyncio's default 64 KiB reader limit are still
+        answered: connections read with ``READ_LIMIT``."""
+        long = b"a" * (100 * 1024)
+
+        async def main():
+            async with self._serve() as svc:
+                for raw, message in (
+                    (b"GET /" + long + b" HTTP/1.1\r\n",
+                     "request line too long"),
+                    (b"GET /healthz HTTP/1.1\r\nX-Big: " + long + b"\r\n",
+                     "header line too long"),
+                ):
+                    response = await raw_roundtrip(svc.port, raw)
+                    assert response.status == 400
+                    assert json.loads(response.body) == {
+                        "error_class": "protocol", "message": message,
+                    }
+
+        run(main())
+
+    def test_transfer_encoding_request_gets_one_411(self):
+        """A chunked body is refused, not read as empty: its bytes must
+        never be parsed as a second request on the connection."""
+        body = json.dumps({"functions": [{"text": ML_ADD}]}).encode()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+
+        async def main():
+            async with self._serve() as svc:
+                for headers in (
+                    b"Transfer-Encoding: chunked\r\n",
+                    b"Transfer-Encoding: chunked\r\n"
+                    b"Content-Length: %d\r\n" % len(chunked),
+                ):
+                    response, rest = await raw_roundtrip(
+                        svc.port,
+                        b"POST /allocate HTTP/1.1\r\nHost: t\r\n"
+                        + headers + b"\r\n" + chunked,
+                        rest=True,
+                    )
+                    assert response.status == 411
+                    assert response.headers["connection"] == "close"
+                    assert json.loads(response.body)["error_class"] == (
+                        "protocol"
+                    )
+                    assert rest == b""  # exactly one response
+                assert svc.engine.stats.functions == 0
+
+        run(main())
+
     def test_too_many_functions_is_rejected_up_front(self):
         async def main():
             async with self._serve(max_functions=2) as svc:
@@ -649,18 +962,24 @@ class TestCostAdmission:
         run(main())
 
     def test_rejection_is_deterministic_across_resubmission(self):
+        """The resubmission is decoded from the source memo, and its
+        carried cost estimate yields a byte-identical 413."""
+        body = json.dumps(
+            {"functions": [{"text": _oversized_source(), "name": "big"}]}
+        ).encode()
+
         async def main():
             config = service_config(batch_kwargs={"admission_limit": 500})
             async with AllocationService(config) as svc:
-                async with ServiceClient("127.0.0.1", svc.port) as client:
-                    replies = [
-                        await client.allocate(
-                            [{"text": _oversized_source(), "name": "big"}]
-                        )
-                        for _ in range(2)
-                    ]
-                    assert [r.status for r in replies] == [413, 413]
-                    assert replies[0].data == replies[1].data
+                replies = [
+                    await raw_roundtrip(svc.port, request_bytes(
+                        "POST", "/allocate", "t", body
+                    ))
+                    for _ in range(2)
+                ]
+                assert [r.status for r in replies] == [413, 413]
+                assert replies[0].body == replies[1].body
+                assert memo_counters(svc)["hits"] == 1
 
         run(main())
 
@@ -689,6 +1008,27 @@ class TestObservability:
                     hist = service["latency_ms"]["allocate"]
                     assert hist["count"] == 2
                     assert 0 < hist["p50_ms"] <= hist["p99_ms"]
+
+        run(main())
+
+    def test_metrics_reports_source_memo(self):
+        specs = [{"text": ml_source(i)} for i in range(3)]
+
+        async def main():
+            async with AllocationService(service_config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    await client.allocate(specs)
+                    before = (await client.metrics()).data["service"]
+                    await client.allocate(specs)
+                    after = (await client.metrics()).data["service"]
+                    assert sorted(after["sources"]) == [
+                        "bytes", "entries", "hits", "misses",
+                    ]
+                    assert before["sources"]["hits"] == 0
+                    assert after["sources"]["hits"] == len(specs)
+                    assert after["sources"]["misses"] == len(specs)
+                    assert after["sources"]["entries"] == len(specs)
+                    assert after["sources"]["bytes"] > 0
 
         run(main())
 
