@@ -146,14 +146,20 @@ def rename_webs(fn: Function) -> Tuple[Function, Dict[str, str]]:
     Also returns the mapping ``new_name -> original_name`` so results can
     be reported against source variables.  Functions already in web form
     round-trip unchanged (modulo the fresh copy).
+
+    The webs are found and renamed on
+    :meth:`~repro.ir.function.Function.canonical_copy`: web numbering
+    sorts definition sites by uid, so it must read renumbered uids for
+    the result to be a function of the printed text.
     """
+    out = fn.canonical_copy()
     reach_in, sites, site_id, var_mask, var_site_ids = (
-        _reaching_definitions(fn)
+        _reaching_definitions(out)
     )
     parent = list(range(len(sites)))
 
     # Union defs that reach a common use.
-    for label, block in fn.blocks.items():
+    for label, block in out.blocks.items():
         cur = reach_in[label]
         for instr in block.instrs:
             for var in instr.uses:
@@ -207,11 +213,9 @@ def rename_webs(fn: Function) -> Tuple[Function, Dict[str, str]]:
                 web_name[sid] = name
             reverse[name] = var
 
-    # Parameters keep their original name (the entry web).
-    out = fn.clone()
+    # Rename in place: *out* is private.
     for label, block in out.blocks.items():
         cur = reach_in[label]
-        new_instrs = []
         for instr in block.instrs:
             use_names = []
             for var in instr.uses:
@@ -228,16 +232,14 @@ def rename_webs(fn: Function) -> Tuple[Function, Dict[str, str]]:
                 sid = site_id[(uid, slot)]
                 def_names.append(web_name[sid])
                 cur = (cur & ~var_mask[var]) | (1 << sid)
-            renamed = instr.clone()
-            renamed.uses = tuple(use_names)
-            renamed.defs = tuple(def_names)
-            new_instrs.append(renamed)
-        block.instrs = new_instrs
+            instr.uses = tuple(use_names)
+            instr.defs = tuple(def_names)
 
-    # Parameter renaming: if a parameter's entry web got renamed, keep the
-    # param list pointing at the new name of its entry web.
+    # Parameters keep their original name (the entry web): if a
+    # parameter's entry web got renamed, keep the param list pointing at
+    # the new name of its entry web.
     new_params = []
-    for i, param in enumerate(fn.params):
+    for i, param in enumerate(out.params):
         sid = site_id.get((-1, i))
         new_params.append(web_name[sid] if sid is not None else param)
     out.params = new_params

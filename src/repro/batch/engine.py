@@ -10,12 +10,14 @@ One :class:`BatchEngine` owns a persistent ``ProcessPoolExecutor`` and an
    ``costs``/``returned`` from answering for different inputs;
 2. misses are **deduplicated by cache key** (identical functions *with
    identical simulator inputs* are computed once) and fanned out over
-   the pool, or computed
-   inline when ``batch_workers == 0``; either way the *canonical
-   printed form* is what gets allocated -- the same text the
-   fingerprint hashes -- so a record is a pure function of its content
-   address (in-memory block order, which canonical text does not
-   capture, can otherwise steer tie-breaks);
+   the pool, or computed inline when ``batch_workers == 0``.  Pool
+   workers receive and parse the canonical text; the inline path
+   allocates a :class:`~repro.pipeline.Workload`'s own function and
+   parses only a :class:`SourceWorkload`'s text.  Either way a record
+   is a pure function of its content address, because
+   ``pipeline.prepare`` allocates a
+   :meth:`~repro.ir.function.Function.canonical_copy`, which fixes the
+   block order and instruction uids from the printed text;
 3. results are merged by **submission index**, never completion order,
    and inserted into the cache in submission order -- so the result list,
    the cache's LRU state, and the trace stream are all deterministic
@@ -248,8 +250,8 @@ class CanonicalSource:
     ``fingerprint`` and the function's admission estimate ``cost``
     (:func:`~repro.core.budget.estimate_cost`).
 
-    It holds no :class:`~repro.ir.function.Function`: a cache miss
-    allocates ``parse_function(text)`` either way.
+    It holds no :class:`~repro.ir.function.Function`, to keep the
+    service's source memo small: a cache miss parses ``text``.
     """
 
     name: str
@@ -316,6 +318,15 @@ def _src_path() -> str:
     import repro
 
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _task_function(task: _Task):
+    """The function an inline miss allocates: a :class:`SourceWorkload`
+    parses its text, any other workload hands over its own function
+    (``prepare`` canonicalizes it, so the record is the same)."""
+    if isinstance(task.workload, SourceWorkload):
+        return parse_function(task.text)
+    return task.workload.fn
 
 
 def _task_tuple(task: _Task) -> Tuple:
@@ -901,13 +912,10 @@ class BatchEngine:
                     plan.maybe_fail_task(
                         task.index, task.attempt, in_worker=False
                     )
-                    # Allocate the canonical (parsed-back) form, exactly
-                    # as pool workers do: a record must be a pure
-                    # function of the content address, and block *dict
-                    # order* -- which canonical text does not capture --
-                    # can otherwise steer tie-breaks.
+                    # The same record a pool worker computes from the
+                    # text: prepare allocates the canonical copy.
                     record, stage_times, tile_cache = compute_record(
-                        task.name, parse_function(task.text), self.config,
+                        task.name, _task_function(task), self.config,
                         self.machine,
                         args=task.workload.args,
                         arrays=task.workload.arrays,
@@ -975,7 +983,7 @@ class BatchEngine:
                 start_mono = time.monotonic()
                 try:
                     record, _, _ = compute_record(
-                        task.name, parse_function(task.text), self.config,
+                        task.name, _task_function(task), self.config,
                         self.machine,
                         args=task.workload.args,
                         arrays=task.workload.arrays,

@@ -15,9 +15,8 @@ Three keys guard correctness:
 * the **invalidation key** (:func:`invalidation_key`) -- sha256 over the
   record format version, a hash of the allocator's own source code
   (:func:`code_version`), the semantic :class:`HierarchicalConfig`
-  fields, the machine description, and the preparation options.  Any
-  allocator code change or config change silently invalidates every
-  prior record;
+  fields and the machine description.  Any allocator code change or
+  config change silently invalidates every prior record;
 * the **inputs digest** (:func:`inputs_digest`) -- sha256 of the
   workload's simulator inputs (``args``/``arrays``).  A record stores
   the dynamic cost counters and the simulator's return value, both of
@@ -56,9 +55,8 @@ from repro.machine.target import Machine
 FORMAT_VERSION = 4
 
 #: Subpackages whose source feeds :func:`code_version` -- everything that
-#: can change what an allocation *produces*, including ``opt`` (the
-#: ``optimize`` prepare flag is part of the invalidation key, so optimizer
-#: changes must invalidate records cached with it).  Orchestration-only
+#: can change what an allocation *produces*, including ``opt`` (which
+#: ``prepare(optimize=True)`` runs).  Orchestration-only
 #: code (``repro.batch`` itself, ``repro.trace``, the CLI) is excluded;
 #: ``minilang`` is covered by the content address (the fingerprint hashes
 #: the *compiled* function, so codegen changes change the fingerprint).
@@ -160,12 +158,7 @@ def machine_signature(machine: Machine) -> Dict[str, object]:
     }
 
 
-def invalidation_key(
-    config: HierarchicalConfig,
-    machine: Machine,
-    rename: bool = True,
-    optimize: bool = False,
-) -> str:
+def invalidation_key(config: HierarchicalConfig, machine: Machine) -> str:
     """Key covering everything besides the input program that can change
     an allocation result."""
     payload = {
@@ -173,7 +166,6 @@ def invalidation_key(
         "code_version": code_version(),
         "config": config_signature(config),
         "machine": machine_signature(machine),
-        "prepare": {"rename": rename, "optimize": optimize},
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

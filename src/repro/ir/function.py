@@ -228,6 +228,20 @@ class Function:
     def reachable(self) -> Set[str]:
         return set(self.rpo())
 
+    def block_order(self) -> List[str]:
+        """:meth:`rpo`, then the unreachable labels sorted (do not mutate
+        the returned list): the order
+        :func:`~repro.ir.printer.format_function` prints and
+        :meth:`canonical_copy` stores, never the dict's insertion order.
+        """
+        order = self.rpo()
+        if len(order) == len(self.blocks):
+            return order
+        reachable = set(order)
+        return order + sorted(
+            label for label in self.blocks if label not in reachable
+        )
+
     def renumber_uids(self) -> None:
         """Reassign instruction uids to function-local ordinals (1-based).
 
@@ -237,9 +251,10 @@ class Function:
         (``tmp:{uid}:{var}:{kind}``) embed the uid, which would make
         allocation results -- and the per-tile fingerprints of
         :mod:`repro.core.incremental` -- a function of process history.
-        Renumbering in block/instruction order makes uids a pure function
-        of the program text.  Only call on a private clone **before** any
-        uid-keyed analysis (arena, liveness memos) is built.
+        Renumbering in block dict/instruction order makes uids a pure
+        function of the program text when the dict order is one (as in
+        :meth:`canonical_copy`).  Only call on a private clone **before**
+        any uid-keyed analysis (arena, liveness memos) is built.
         """
         uid = 1
         for block in self.blocks.values():
@@ -248,10 +263,24 @@ class Function:
                 uid += 1
 
     def clone(self) -> "Function":
-        """Deep copy (instruction uids preserved)."""
+        """Deep copy in block dict order, instruction uids preserved --
+        neither of which the printed text carries (see
+        :meth:`canonical_copy`)."""
+        return self._copy(self.blocks)
+
+    def canonical_copy(self) -> "Function":
+        """Deep copy that is a function of the printed text: blocks in
+        :meth:`block_order`, uids renumbered in that order.  Allocation
+        starts from it (``pipeline.prepare``), so functions that print
+        alike allocate alike."""
+        fn = self._copy(self.block_order())
+        fn.renumber_uids()
+        return fn
+
+    def _copy(self, labels: Iterable[str]) -> "Function":
         fn = Function(self.name, self.params, self.start_label, self.stop_label)
-        for block in self.blocks.values():
-            fn.add_block(block.clone())
+        for label in labels:
+            fn.add_block(self.blocks[label].clone())
         fn._label_counter = itertools.count(self._next_counter_start())
         return fn
 

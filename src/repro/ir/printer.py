@@ -67,14 +67,14 @@ def format_block(block) -> str:
 
 
 def format_function(fn) -> str:
-    """Multi-line textual form of a whole function, blocks in RPO."""
+    """Multi-line textual form of a whole function, blocks in
+    :meth:`~repro.ir.function.Function.block_order` (RPO, then the
+    unreachable labels sorted).  The text carries neither the block
+    dict's order nor the instruction uids, and allocation reads neither:
+    ``pipeline.prepare`` starts from
+    :meth:`~repro.ir.function.Function.canonical_copy`."""
     header = f"func {fn.name}({', '.join(fn.params)}) start={fn.start_label} stop={fn.stop_label}"
-    order = fn.rpo()
-    # Unreachable blocks follow the RPO body in sorted order so the text
-    # never depends on block-dict insertion history.
-    reachable = set(order)
-    leftover = sorted(label for label in fn.blocks if label not in reachable)
     parts = [header]
-    for label in order + leftover:
+    for label in fn.block_order():
         parts.append(format_block(fn.blocks[label]))
     return "\n".join(parts) + "\n"

@@ -114,16 +114,20 @@ def load_function_source(text: str, lang: str = "auto") -> Function:
     return fn
 
 
-def prepare(fn: Function, rename: bool = True, optimize: bool = False) -> Function:
-    """Validate, optionally optimize, and (by default) rename into webs."""
+def prepare(fn: Function, optimize: bool = False) -> Function:
+    """Validate, optionally optimize, and rename into webs.
+
+    The result is a function of ``format_function(fn)``: the optimizer
+    and :func:`rename_webs` both work on a
+    :meth:`~repro.ir.function.Function.canonical_copy`, so *fn*'s block
+    dict order and uids never reach an allocator.
+    """
     validate_function(fn)
     if optimize:
         from repro.opt import optimize as run_passes
 
-        fn = run_passes(fn)
+        fn = run_passes(fn.canonical_copy())
         validate_function(fn)
-    if not rename:
-        return fn
     renamed, _ = rename_webs(fn)
     validate_function(renamed)
     return renamed
@@ -133,7 +137,6 @@ def compile_function(
     workload: Workload,
     allocator: Allocator,
     machine: Machine,
-    rename: bool = True,
     verify: bool = True,
     optimize: bool = False,
     max_steps: int = 2_000_000,
@@ -159,7 +162,7 @@ def compile_function(
     ):
         allocator.tracer = trace
     with _stage(trace, "pipeline:prepare"):
-        fn = prepare(workload.fn, rename=rename, optimize=optimize)
+        fn = prepare(workload.fn, optimize=optimize)
     with _stage(trace, "pipeline:reference_run"):
         reference = simulate(
             workload.fn,

@@ -68,3 +68,13 @@ def test_bit_identical_across_seeds_and_workers(fingerprints, workload):
             f"baseline: {json.dumps(baseline, sort_keys=True)}\n"
             f"got:      {json.dumps(run[workload], sort_keys=True)}"
         )
+
+
+def test_engine_and_service_match_direct_below_eight_registers():
+    """Batch and served fingerprints equal the direct pipeline's at R=6,
+    not only at the default R=8: every path allocates the program the
+    canonical text describes, whatever the in-memory block order."""
+    prints = fingerprint_workloads(
+        ["rand_struct_327"], registers=6, batch=0, service=True
+    )
+    assert set(prints["rand_struct_327"]) >= {"batch", "service"}

@@ -159,12 +159,6 @@ class TestInvalidationKey:
             HierarchicalConfig(max_tile_width=4), self.MACHINE
         ) != base
 
-    def test_prepare_options_invalidate(self):
-        base = invalidation_key(HierarchicalConfig(), self.MACHINE)
-        assert invalidation_key(
-            HierarchicalConfig(), self.MACHINE, rename=False
-        ) != base
-
     def test_profile_guided_config_is_uncacheable(self):
         freq = estimate_frequencies(dot())
         with pytest.raises(UncacheableConfigError):

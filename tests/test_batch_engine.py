@@ -183,9 +183,9 @@ class TestMatchesSingleFunctionPipeline:
             }
 
     def test_lowered_calls_match_direct_allocation(self):
-        """The engine allocates the canonical text parsed back; a call's
-        clobbers must survive that round trip, or the engine keeps values
-        in registers the call destroys."""
+        """A pool worker allocates the canonical text it receives, parsed
+        back; a call's clobbers must survive that round trip, or the
+        worker keeps values in registers the call destroys."""
         from repro.batch.worker import compute_record
         from repro.core import HierarchicalConfig
         from repro.machine.calls import lower_calls
@@ -196,13 +196,14 @@ class TestMatchesSingleFunctionPipeline:
         direct, _, _ = compute_record(
             "caller", fn, HierarchicalConfig(), machine, simulate=False
         )
-        batch = BatchConfig(registers=8, simulate=False)
+        batch = BatchConfig(registers=8, simulate=False, batch_workers=1)
         with BatchEngine(machine=machine, batch=batch) as engine:
-            record = engine.allocate_module(
+            result = engine.allocate_module(
                 [Workload(fn, name="caller")]
-            ).results[0].record
-        assert record.allocated_sha256 == direct.allocated_sha256
-        assert record.spilled == direct.spilled
+            ).results[0]
+        assert result.worker == "worker-0"
+        assert result.record.allocated_sha256 == direct.allocated_sha256
+        assert result.record.spilled == direct.spilled
 
     def test_static_path_when_no_inputs(self):
         module = [Workload(dot(), name="bare")]

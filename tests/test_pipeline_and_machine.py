@@ -116,10 +116,6 @@ class TestPipeline:
         fn = prepare(dot())
         assert fn is not None
 
-    def test_prepare_can_skip_rename(self):
-        fn = dot()
-        assert prepare(fn, rename=False) is fn
-
     def test_verification_catches_bad_allocator(self):
         class BrokenAllocator(ChaitinAllocator):
             name = "broken"

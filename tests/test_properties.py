@@ -6,6 +6,8 @@ and every allocator is a semantics-preserving transformation whose output
 respects the machine.
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,14 +17,17 @@ from repro.analysis.dominators import compute_dominators
 from repro.analysis.frequency import estimate_frequencies
 from repro.analysis.liveness import block_use_def, compute_liveness
 from repro.analysis.renaming import rename_webs
+from repro.cli import ALLOCATORS
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.graph.coloring import color_graph, verify_coloring
 from repro.graph.interference import InterferenceGraph
 from repro.ir.instructions import is_phys
+from repro.ir.parser import parse_function
+from repro.ir.printer import format_function
 from repro.ir.validate import validate_function
 from repro.machine.simulator import simulate
 from repro.machine.target import Machine
-from repro.pipeline import compile_function
+from repro.pipeline import Workload, compile_function
 from repro.tiles.construction import build_tile_tree_detailed
 from repro.tiles.validate import validate_tile_tree
 from repro.workloads.generators import random_program, random_workload
@@ -134,6 +139,41 @@ def test_allocation_preserves_semantics(seed, registers, allocator_cls):
         for instr in block.instrs:
             for var in instr.defs + instr.uses:
                 assert is_phys(var)
+
+
+def _shuffle_blocks(fn, rng):
+    labels = list(fn.blocks)
+    rng.shuffle(labels)
+    fn.blocks = {label: fn.blocks[label] for label in labels}
+    fn.invalidate_caches()
+
+
+def _permute_uids(fn, rng):
+    instrs = [instr for block in fn for instr in block.instrs]
+    uids = [instr.uid for instr in instrs]
+    rng.shuffle(uids)
+    for instr, uid in zip(instrs, uids):
+        instr.uid = uid
+
+
+@pytest.mark.parametrize(
+    "perturb", [_shuffle_blocks, _permute_uids],
+    ids=["shuffled_blocks", "permuted_uids"],
+)
+@given(seed=SEEDS, registers=st.sampled_from([2, 4, 6]))
+@COMMON
+def test_allocation_is_a_function_of_the_text(perturb, seed, registers):
+    """Block dict order and instruction uids are not in the printed
+    text, so perturbing either must not move any allocator's output:
+    the function compiles to what its parsed-back text compiles to."""
+    w = random_workload(seed)
+    perturb(w.fn, random.Random(seed))
+    parsed = Workload(parse_function(format_function(w.fn)), w.args, w.arrays)
+    machine = Machine.simple(registers)
+    for name, allocator_cls in sorted(ALLOCATORS.items()):
+        direct = compile_function(w, allocator_cls(), machine)
+        back = compile_function(parsed, allocator_cls(), machine)
+        assert format_function(direct.fn) == format_function(back.fn), name
 
 
 @given(seed=SEEDS)

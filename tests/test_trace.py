@@ -151,6 +151,7 @@ class TestFigure1Golden:
             for e in memory.of_type(BoundaryAction)
         ]
         assert got == [
+            (("start", "B1"), "n", "no_change"),
             (("B1", "B2"), "g1", "no_change"),
             (("B1", "B2"), "g2", "no_change"),
             (("B1", "B2"), "i1", "reload"),
@@ -166,7 +167,6 @@ class TestFigure1Golden:
             (("MID", "B3"), "one", "no_change"),
             (("B3", "B4"), "g1", "spill"),
             (("B3", "B4"), "g2", "reload"),
-            (("start", "B1"), "n", "no_change"),
         ]
 
     def test_paper_prescription_on_second_loop(self):
