@@ -7,7 +7,12 @@ One :class:`BatchEngine` owns a persistent ``ProcessPoolExecutor`` and an
 1. every function is fingerprinted (canonical-program sha256) and looked
    up in the cache under ``cache_key(fingerprint, invalidation, inputs)``
    -- the inputs digest keeps records with simulated (input-dependent)
-   ``costs``/``returned`` from answering for different inputs;
+   ``costs``/``returned`` from answering for different inputs.  The
+   engine's text memo, keyed weakly by function object, keeps each
+   in-memory function's text and fingerprint with a
+   :func:`~repro.ir.printer.text_stamp` of every value the printer
+   reads, so a function the engine has seen, unchanged, is keyed
+   without being printed again;
 2. misses are **deduplicated by cache key** (identical functions *with
    identical simulator inputs* are computed once) and fanned out over
    the pool, or computed inline when ``batch_workers == 0``.  Pool
@@ -71,6 +76,7 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
@@ -105,7 +111,12 @@ from repro.errors import (
     task_error_from_exception,
 )
 from repro.ir.parser import parse_function
-from repro.ir.printer import format_function
+from repro.ir.printer import (
+    format_function,
+    freeze_stamp,
+    same_stamp,
+    text_stamp,
+)
 from repro.machine.target import Machine
 from repro.perf.timers import StageTimers
 from repro.trace.events import (
@@ -180,6 +191,8 @@ class BatchStats:
     tile_hits: int = 0
     tile_misses: int = 0
     subtrees_reused: int = 0
+    #: in-memory functions keyed from the text memo, without printing.
+    keys_reused: int = 0
     wall_s: float = 0.0
     stage_times: Dict[str, float] = field(default_factory=dict)
 
@@ -205,6 +218,7 @@ class BatchStats:
             "tile_hits": self.tile_hits,
             "tile_misses": self.tile_misses,
             "subtrees_reused": self.subtrees_reused,
+            "keys_reused": self.keys_reused,
             "wall_s": round(self.wall_s, 4),
             "functions_per_sec": round(self.functions_per_sec, 2),
         }
@@ -407,6 +421,10 @@ class BatchEngine:
             self.tile_store = TileCacheStore(
                 capacity=self.batch.tile_cache_entries
             )
+        #: function -> (frozen text stamp, canonical text, fingerprint)
+        #: for in-memory workloads; an entry lives as long as its
+        #: function (see :meth:`entry_for`).
+        self._texts = weakref.WeakKeyDictionary()
         self._pool: Optional[ProcessPoolExecutor] = None
         # Deliberately wall-clock: trace rows subtract it from worker
         # ``start`` stamps, which cross process boundaries.  All *interval*
@@ -520,18 +538,21 @@ class BatchEngine:
         engine is guaranteed because both call this one method.
 
         A :class:`SourceWorkload` carries its canonical text and
-        fingerprint, so keying it formats nothing.  Any other workload
-        is formatted on every call: its function object may have been
-        edited in place since the last call, and nothing would notice a
-        stale text.
+        fingerprint, so keying it formats nothing.  Any other workload's
+        function may have been edited in place since the last call, so
+        its text comes from the engine's text memo only while the
+        function's :func:`~repro.ir.printer.text_stamp` still holds the
+        very objects it held when the text was printed; otherwise the
+        function is printed and stamped again (and never kept when a
+        printed value is mutable).  An entry lives as long as its
+        function object, and a new engine starts with none.
         """
         name = workload.label()
         if isinstance(workload, SourceWorkload):
             text = workload.source.text
             fingerprint = workload.source.fingerprint
         else:
-            text = format_function(workload.fn)
-            fingerprint = text_fingerprint(text)
+            text, fingerprint = self._canonical_text(workload.fn)
         inputs = (
             inputs_digest(workload.args, workload.arrays)
             if self.batch.simulate
@@ -540,6 +561,23 @@ class BatchEngine:
         return name, text, fingerprint, cache_key(
             fingerprint, self._invalidation, inputs
         )
+
+    def _canonical_text(self, fn) -> Tuple[str, str]:
+        """*fn*'s canonical text and fingerprint, from the text memo
+        while its stamp holds."""
+        stamp = text_stamp(fn)
+        kept = self._texts.get(fn)
+        if kept is not None and same_stamp(kept[0], stamp):
+            self.stats.keys_reused += 1
+            return kept[1], kept[2]
+        text = format_function(fn)
+        fingerprint = text_fingerprint(text)
+        frozen = freeze_stamp(stamp)
+        if frozen is None:
+            self._texts.pop(fn, None)
+        else:
+            self._texts[fn] = (frozen, text, fingerprint)
+        return text, fingerprint
 
     def pool_health(self) -> Dict[str, object]:
         """Liveness view of the worker pool (for ``/healthz``).

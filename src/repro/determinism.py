@@ -9,7 +9,7 @@ module is the proof harness:
   of spilled variables, and the simulator's dynamic cost counters -- into
   a small JSON-friendly dict (:meth:`AllocationRecord.fingerprint_dict`);
 * :data:`MODES` is the table of other paths to the same allocation --
-  the batch engine's cold and cached passes, the HTTP service, the
+  the batch engine's cold, cached and edited passes, the HTTP service, the
   per-tile incremental replay and the fuel-budgeted run.  Each mode
   returns, per workload, a fingerprint that must equal the direct one and
   a section that joins the output, so one loop compares them all;
@@ -122,12 +122,16 @@ def allocation_fingerprint(
 def edit_one_block(fn: Function) -> str:
     """Apply a deterministic single-block edit to *fn* in place.
 
-    Bumps the immediate of one ``CONST`` instruction (the middle one in
-    block order, skipping the start block when possible) by 1 and returns
-    the edited block's label.  The edit is a pure function of the input,
-    so two independently-built copies of the same workload receive the
-    same edit -- which is what lets the incremental check compare a warm
-    re-allocation against a fresh allocation of "the same edit".
+    Bumps the immediate of one integer ``CONST`` instruction by 1 and
+    returns the edited block's label.  The instruction is the middle one
+    of the function's integer ``CONST`` sites, walked in the block
+    dict's insertion order (not :meth:`Function.block_order`, the
+    printed order), skipping the start block when another block has one.
+    So two copies get the same edit only when they were built the same
+    way: two builds of one workload do, which is what lets the
+    incremental check compare a warm re-allocation against a fresh
+    allocation of "the same edit", but a copy parsed back from the
+    printed text need not.
     """
     from repro.ir.instructions import Opcode
 
@@ -165,12 +169,16 @@ ModeResult = Dict[str, Tuple[Fingerprint, object]]
 def _batch_mode(
     names: Sequence[str], registers: int, workers: int
 ) -> ModeResult:
-    """Cold- and warm-cache passes through one batch engine.
+    """Cold-, warm- and edited-module passes through one batch engine.
 
     The first pass computes (in *workers* pool processes, or in-process
     for 0) and fills the content-addressed cache; the second must be
-    served entirely from it, and every cached record must equal the
-    computed one.
+    served entirely from it, with every function keyed from the engine's
+    text memo, and every cached record must equal the computed one.
+    Then the first workload is edited in place (:func:`edit_one_block`)
+    and the module goes through a third time: exactly that function may
+    be printed again, and its record must equal the direct allocation
+    of the same edit.
     """
     from repro.batch import BatchConfig, BatchEngine
 
@@ -178,7 +186,33 @@ def _batch_mode(
     batch = BatchConfig(batch_workers=workers, registers=registers)
     with BatchEngine(batch=batch) as engine:
         cold = engine.allocate_module(workloads)
+        before = engine.stats.keys_reused
         warm = engine.allocate_module(workloads)
+        reused = engine.stats.keys_reused - before
+        if reused != len(workloads):
+            raise RuntimeError(
+                f"warm batch pass keyed {reused} of {len(workloads)} "
+                "functions from the text memo; the rest were printed again"
+            )
+        edit_one_block(workloads[0].fn)
+        before = engine.stats.keys_reused
+        edited = engine.allocate_module(workloads)[0]
+        reused = engine.stats.keys_reused - before
+        if reused != len(workloads) - 1:
+            raise RuntimeError(
+                f"edited batch pass keyed {reused} of {len(workloads)} "
+                "functions from the text memo; exactly the edited one "
+                "must be printed again"
+            )
+    fresh = build_workload(names[0])
+    edit_one_block(fresh.fn)
+    direct, _, _ = _record(fresh, Machine.simple(registers))
+    if edited.record != direct:
+        raise RuntimeError(_diverged(
+            names[0], "edited batch record diverges from the direct "
+            "allocation of the same edit", direct.fingerprint_dict(),
+            edited.record.fingerprint_dict() if edited.record else None,
+        ))
 
     out: ModeResult = {}
     for name, c, w in zip(names, cold, warm):
@@ -376,8 +410,9 @@ class Mode:
 MODES: Dict[str, Mode] = {
     "batch": Mode(
         _batch_mode,
-        "fingerprint via the batch engine (cold pass + warm cache pass) "
-        "with N pool workers (0 = in-process); cached == computed == direct",
+        "fingerprint via the batch engine (cold pass + warm cache pass + "
+        "a pass after one in-place edit) with N pool workers "
+        "(0 = in-process); cached == computed == direct",
         "N",
     ),
     "service": Mode(

@@ -1,8 +1,11 @@
-"""Textual rendering of the toy IR (inverse of :mod:`repro.ir.parser`)."""
+"""Textual rendering of the toy IR (inverse of :mod:`repro.ir.parser`),
+and the stamp that tells when a function's text is still what it was."""
 
 from __future__ import annotations
 
-from typing import List
+from itertools import chain
+from operator import is_
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ir.instructions import (
     BINARY_EVAL_BY_VALUE,
@@ -78,3 +81,63 @@ def format_function(fn) -> str:
     for label in fn.block_order():
         parts.append(format_block(fn.blocks[label]))
     return "\n".join(parts) + "\n"
+
+
+#: Closes each variable-length run of a stamp (the parameters, a
+#: block's instruction fields, its successors), so one run cannot shift
+#: into the next.  Nothing in a function is this object.
+_END = object()
+
+#: Types whose instances keep one printed form for life.  ``object`` is
+#: there for ``_END``: a bare ``object()`` has no state to change.
+_IMMUTABLE = frozenset({str, int, float, bool, type(None), Opcode, object})
+
+
+def text_stamp(fn) -> List[object]:
+    """References to every value :func:`format_function` reads from
+    *fn*, in the order it reads them: the name, the parameters, the
+    start and stop labels, then for each block in
+    :meth:`~repro.ir.function.Function.block_order` (the entry
+    ``fn.blocks`` holds for the label) its ``label``, each instruction's
+    ``op``, ``defs``, ``uses``, ``imm`` and ``clobbers``, and its
+    ``succ_labels``.
+
+    Two stamps of a function that hold the same objects in the same
+    places (:func:`same_stamp`) mean the same text, provided every value
+    is immutable (:func:`freeze_stamp`).  The comparison is by identity
+    because ``==`` is not enough: ``1 == True`` and ``0.0 == -0.0``, yet
+    each pair prints differently.
+    """
+    refs: List[object] = [fn.name, *fn.params, _END, fn.start_label,
+                          fn.stop_label]
+    blocks = fn.blocks
+    for label in fn.block_order():
+        block = blocks[label]
+        refs.append(block.label)
+        for instr in block.instrs:
+            refs += (instr.op, instr.defs, instr.uses, instr.imm,
+                     instr.clobbers)
+        refs.append(_END)
+        refs += block.succ_labels
+        refs.append(_END)
+    return refs
+
+
+def freeze_stamp(stamp: Sequence[object]) -> Optional[Tuple[object, ...]]:
+    """*stamp* as a tuple to keep, or ``None`` when a value in it is
+    not immutable (a str, int, float, bool, None, an :class:`Opcode`,
+    or a tuple of these): such a value can print differently while it
+    stays the same object, so its function must be printed every time."""
+    kinds = set(map(type, stamp))
+    if tuple in kinds:
+        kinds.discard(tuple)
+        kinds.update(map(type, chain.from_iterable(
+            value for value in stamp if type(value) is tuple
+        )))
+    return tuple(stamp) if kinds <= _IMMUTABLE else None
+
+
+def same_stamp(kept: Sequence[object], stamp: Sequence[object]) -> bool:
+    """True when *stamp* holds the very objects *kept* holds, in the
+    same places."""
+    return len(kept) == len(stamp) and all(map(is_, kept, stamp))

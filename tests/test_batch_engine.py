@@ -6,18 +6,25 @@ single-function pipeline; the trace stream records cache traffic and
 per-worker task rows; the CLI ``batch`` subcommand wires it all up.
 """
 
+import collections
+import gc
 import json
 
 import pytest
 
+import repro.batch.engine as engine_module
 from repro.batch import (
     BatchConfig,
     BatchEngine,
     load_module_dir,
     synthetic_module,
 )
+from repro.batch.engine import SourceWorkload, canonical_source
+from repro.batch.serialize import record_to_dict
 from repro.cli import main as cli_main
 from repro.core import HierarchicalAllocator
+from repro.determinism import edit_one_block
+from repro.ir.instructions import Opcode
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, allocate_module, compile_function
@@ -212,6 +219,140 @@ class TestMatchesSingleFunctionPipeline:
         assert record.costs is None and record.returned is None
         assert record.allocated_text
         assert record.bindings
+
+
+def count_formats(monkeypatch) -> collections.Counter:
+    """Count the engine's ``format_function`` calls per function name,
+    at the module name the engine looks it up under."""
+    calls: collections.Counter = collections.Counter()
+    original = engine_module.format_function
+
+    def counted(fn):
+        calls[fn.name] += 1
+        return original(fn)
+
+    monkeypatch.setattr(engine_module, "format_function", counted)
+    return calls
+
+
+class TestTextMemo:
+    """A warm engine keys an unchanged in-memory function from its text
+    memo, without printing it; any edit of a printed field prints it
+    again (``tests/test_properties.py`` checks every such edit)."""
+
+    def test_unchanged_module_formats_nothing(self, monkeypatch):
+        module = small_module()
+        calls = count_formats(monkeypatch)
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+            assert sum(calls.values()) == len(module)
+            calls.clear()
+            warm = engine.allocate_module(module)
+        assert calls == {}
+        assert engine.stats.keys_reused == len(module)
+        assert engine.stats.as_dict()["keys_reused"] == len(module)
+        assert all(r.cached for r in warm)
+
+    def test_in_place_edit_formats_only_the_edited_function(
+        self, monkeypatch
+    ):
+        module = small_module()
+        calls = count_formats(monkeypatch)
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+            edit_one_block(module[2].fn)
+            calls.clear()
+            results = engine.allocate_module(module)
+        assert calls == {module[2].fn.name: 1}
+        assert engine.stats.keys_reused == len(module) - 1
+        assert [r.cached for r in results] == [
+            i != 2 for i in range(len(module))
+        ]
+
+    def test_cloned_function_formats_once_and_hits_the_cache(
+        self, monkeypatch
+    ):
+        module = small_module()
+        calls = count_formats(monkeypatch)
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+            module[1].fn = module[1].fn.clone()
+            calls.clear()
+            results = engine.allocate_module(module)
+        assert calls == {module[1].fn.name: 1}
+        assert all(r.cached for r in results)
+
+    def test_new_engine_formats_every_function(self, monkeypatch):
+        module = small_module()
+        calls = count_formats(monkeypatch)
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+        calls.clear()
+        with BatchEngine(batch=BatchConfig()) as fresh:
+            fresh.allocate_module(module)
+        assert sum(calls.values()) == len(module)
+        assert fresh.stats.keys_reused == 0
+
+    def test_entry_lives_as_long_as_its_function(self):
+        module = small_module()
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+            assert len(engine._texts) == len(module)
+            del module
+            gc.collect()
+            assert len(engine._texts) == 0
+
+    def test_mutable_printed_value_formats_every_call(self, monkeypatch):
+        workload = small_module(1)[0]
+        const = next(
+            instr for block in workload.fn for instr in block.instrs
+            if instr.op is Opcode.CONST
+        )
+        const.imm = [1]
+        calls = count_formats(monkeypatch)
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.entry_for(workload)
+            const.imm.append(2)
+            _, text, _, _ = engine.entry_for(workload)
+            assert len(engine._texts) == 0
+        assert calls == {workload.fn.name: 2}
+        assert "const [1, 2]" in text
+
+    def test_source_workloads_bypass_the_memo(self, monkeypatch):
+        module = [
+            SourceWorkload(canonical_source(w.fn), w.args, w.arrays)
+            for w in small_module(3)
+        ]
+        calls = count_formats(monkeypatch)
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+            engine.allocate_module(module)
+            assert len(engine._texts) == 0
+        assert calls == {}
+        assert engine.stats.keys_reused == 0
+
+    @pytest.mark.parametrize("batch", [
+        BatchConfig(tile_cache=True),
+        BatchConfig(batch_workers=1),
+    ], ids=["tile_cache", "pooled"])
+    def test_records_identical_with_and_without_memo_hits(self, batch):
+        def dumps(results):
+            return [json.dumps(record_to_dict(r.record), sort_keys=True)
+                    for r in results]
+
+        warm_module = small_module()
+        with BatchEngine(batch=batch) as engine:
+            engine.allocate_module(warm_module)
+            edit_one_block(warm_module[3].fn)
+            reused = engine.stats.keys_reused
+            warm = engine.allocate_module(warm_module)
+            assert engine.stats.keys_reused - reused == len(warm_module) - 1
+        cold_module = small_module()
+        edit_one_block(cold_module[3].fn)
+        with BatchEngine(batch=batch) as engine:
+            cold = engine.allocate_module(cold_module)
+            assert engine.stats.keys_reused == 0
+        assert dumps(warm) == dumps(cold)
 
 
 class TestSyntheticModule:

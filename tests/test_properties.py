@@ -6,6 +6,7 @@ and every allocator is a semantics-preserving transformation whose output
 respects the machine.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -17,11 +18,12 @@ from repro.analysis.dominators import compute_dominators
 from repro.analysis.frequency import estimate_frequencies
 from repro.analysis.liveness import block_use_def, compute_liveness
 from repro.analysis.renaming import rename_webs
+from repro.batch import BatchConfig, BatchEngine
 from repro.cli import ALLOCATORS
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.graph.coloring import color_graph, verify_coloring
 from repro.graph.interference import InterferenceGraph
-from repro.ir.instructions import is_phys
+from repro.ir.instructions import BINARY_OPS, Instr, Opcode, is_phys
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.ir.validate import validate_function
@@ -174,6 +176,182 @@ def test_allocation_is_a_function_of_the_text(perturb, seed, registers):
         direct = compile_function(w, allocator_cls(), machine)
         back = compile_function(parsed, allocator_cls(), machine)
         assert format_function(direct.fn) == format_function(back.fn), name
+
+
+def _pick_instr(fn, rng, wanted=lambda instr: True):
+    sites = [
+        (block, index) for block in fn
+        for index, instr in enumerate(block.instrs) if wanted(instr)
+    ]
+    return rng.choice(sites)
+
+
+def _reassign_clobbers(fn, rng, warm):
+    """Generated programs make no calls: plant one, warm, then edit it."""
+    block, index = _pick_instr(fn, rng)
+    call = Instr(Opcode.CALL, uses=("t_a",), imm="f", clobbers=("R1",))
+    block.instrs.insert(index, call)
+    warm()
+    call.clobbers = ("R1", "R2")
+
+
+def _imm(before, after):
+    """Set a CONST's immediate to *before*, warm, then to *after*."""
+    def edit(fn, rng, warm):
+        block, index = _pick_instr(fn, rng, lambda i: i.op is Opcode.CONST)
+        block.instrs[index].imm = before
+        warm()
+        block.instrs[index].imm = after
+    return edit
+
+
+def _bump_imm(fn, rng, warm):
+    block, index = _pick_instr(fn, rng, lambda i: i.op is Opcode.CONST)
+    block.instrs[index].imm += 1
+
+
+def _mutable_imm(fn, rng, warm):
+    block, index = _pick_instr(fn, rng, lambda i: i.op is Opcode.CONST)
+    block.instrs[index].imm = [1]
+    warm()
+    block.instrs[index].imm.append(2)
+
+
+def _swap_op(fn, rng, warm):
+    block, index = _pick_instr(fn, rng, lambda i: i.op in BINARY_OPS)
+    instr = block.instrs[index]
+    instr.op = Opcode.SUB if instr.op is Opcode.ADD else Opcode.ADD
+
+
+def _reassign(field):
+    def edit(fn, rng, warm):
+        block, index = _pick_instr(fn, rng, lambda i: getattr(i, field))
+        instr = block.instrs[index]
+        setattr(instr, field, tuple(f"{v}_e" for v in getattr(instr, field)))
+    return edit
+
+
+def _insert_instr(fn, rng, warm):
+    block, index = _pick_instr(fn, rng)
+    block.instrs.insert(index, Instr(Opcode.CONST, defs=("t_e",), imm=3))
+
+
+def _remove_instr(fn, rng, warm):
+    block, index = _pick_instr(fn, rng)
+    del block.instrs[index]
+
+
+def _replace_instr(fn, rng, warm):
+    block, index = _pick_instr(fn, rng)
+    block.instrs[index] = Instr(Opcode.NOP)
+
+
+def _relabel_block(fn, rng, warm):
+    block = fn.blocks[rng.choice(sorted(fn.blocks))]
+    block.label += "_e"
+
+
+def _repeat_successor(fn, rng, warm):
+    """A repeated successor prints, but leaves the block order as it was."""
+    block = rng.choice([b for b in fn if b.succ_labels])
+    block.succ_labels.append(block.succ_labels[0])
+    fn.invalidate_caches()
+
+
+def _late_invalidate(fn, rng, warm):
+    """Successors reordered, printed before ``invalidate_caches()`` (so
+    in the stale block order), then invalidated: only the order moves."""
+    block = rng.choice([b for b in fn if b.succ_labels])
+    block.succ_labels.reverse()
+    warm()
+    fn.invalidate_caches()
+
+
+def _add_block(fn, rng, warm):
+    src, dst = rng.choice(fn.edges())
+    fn.insert_block_on_edge(src, dst)
+
+
+def _remove_block(fn, rng, warm):
+    """Unlink a block, sending its predecessors to its first successor."""
+    label = rng.choice(sorted(
+        label for label, block in fn.blocks.items()
+        if set(block.succ_labels) - {label} and label != fn.start_label
+    ))
+    target = next(s for s in fn.blocks[label].succ_labels if s != label)
+    for block in fn:
+        block.succ_labels = [
+            target if succ == label else succ for succ in block.succ_labels
+        ]
+    del fn.blocks[label]
+    fn.invalidate_caches()
+
+
+def _append_param(fn, rng, warm):
+    fn.params.append("p_e")
+
+
+def _rename(fn, rng, warm):
+    fn.name += "_e"
+
+
+def _move_start(fn, rng, warm):
+    """A new key and ``start_label`` for the start block, whose
+    ``label`` stays: only the header's ``start=`` changes."""
+    old = fn.start_label
+    fn.start_label = f"{old}_e"
+    fn.blocks = {
+        fn.start_label if label == old else label: block
+        for label, block in fn.blocks.items()
+    }
+    fn.invalidate_caches()
+
+
+def _move_stop(fn, rng, warm):
+    fn.stop_label = rng.choice(sorted(set(fn.blocks) - {fn.stop_label}))
+
+
+TEXT_EDITS = {
+    "imm_bumped": _bump_imm,
+    "imm_1_to_True": _imm(1, True),
+    "imm_0_to_0.0": _imm(0, 0.0),
+    "imm_0.0_to_-0.0": _imm(0.0, -0.0),
+    "imm_list_mutated": _mutable_imm,
+    "op": _swap_op,
+    "defs": _reassign("defs"),
+    "uses": _reassign("uses"),
+    "clobbers": _reassign_clobbers,
+    "instr_inserted": _insert_instr,
+    "instr_removed": _remove_instr,
+    "instr_replaced": _replace_instr,
+    "block_label": _relabel_block,
+    "succ_labels": _repeat_successor,
+    "succ_labels_late_invalidate": _late_invalidate,
+    "block_added": _add_block,
+    "block_removed": _remove_block,
+    "params": _append_param,
+    "name": _rename,
+    "start_label": _move_start,
+    "stop_label": _move_stop,
+}
+
+
+@pytest.mark.parametrize("edit", list(TEXT_EDITS.values()), ids=list(TEXT_EDITS))
+@given(seed=SEEDS)
+@COMMON
+def test_text_memo_never_serves_a_stale_text(edit, seed):
+    """The engine keys a function it has seen from its text memo while
+    the function's stamp holds, so no in-place edit of a printed field
+    may leave the memo serving the text from before the edit."""
+    w = random_workload(seed)
+    with BatchEngine(batch=BatchConfig()) as engine:
+        engine.entry_for(w)
+        engine.entry_for(w)
+        assert engine.stats.keys_reused == 1
+        edit(w.fn, random.Random(seed), lambda: engine.entry_for(w))
+        _, text, fingerprint, _ = engine.entry_for(w)
+    assert text == format_function(w.fn)
+    assert fingerprint == hashlib.sha256(text.encode()).hexdigest()
 
 
 @given(seed=SEEDS)
