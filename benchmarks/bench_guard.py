@@ -30,18 +30,18 @@ Scenarios, recorded in ``BENCH_guard.json``:
   Same fuel, same input, same story.
 
 ``python benchmarks/bench_guard.py --quick`` runs the one-seed CI gate
-(same assertions).
+(same assertions); it prints its tables and writes nothing, so only the
+full run refreshes ``BENCH_guard.json`` and its result files.
 """
 
 import argparse
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import time
 
-from conftest import fmt_row, report
+from conftest import fmt_row, report, show
 
 from repro.batch import BatchConfig, BatchEngine
 from repro.core.budget import estimate_cost
@@ -71,39 +71,12 @@ WALL_CEILING_S = 120.0
 CLASSIFIED = ("admission", "budget", "deadline")
 
 
-def _git_sha():
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if proc.returncode == 0:
-            return proc.stdout.strip()
-    except OSError:
-        pass
-    return "unknown"
-
-
 def _save_baseline(payload):
-    data = {}
-    if os.path.exists(BASELINE_PATH):
-        with open(BASELINE_PATH) as fh:
-            data = json.load(fh)
-    data["current"] = payload
-    data["current"]["environment"] = {
+    payload["environment"] = {
         "python_version": ".".join(str(v) for v in sys.version_info[:3]),
     }
-    history = data.setdefault("history", [])
-    sha = _git_sha()
-    if not history or history[-1].get("git_sha") != sha:
-        history.append({
-            "git_sha": sha,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        })
-        del history[:-50]
     with open(BASELINE_PATH, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump({"current": payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -153,7 +126,7 @@ def _outcome_fingerprint(result):
     }
 
 
-def run_survival(seeds):
+def run_survival(seeds, emit):
     workloads, minilang = _corpus_module(seeds)
     failures = []
     t0 = time.perf_counter()
@@ -232,7 +205,7 @@ def run_survival(seeds):
         f"wall={elapsed:.2f}s completed={kinds['completed']} "
         f"degraded={kinds['degraded']} rejected={kinds['rejected']}"
     )
-    report("BENCH_guard_survival", lines)
+    emit("BENCH_guard_survival", lines)
     summary = {
         "seeds": list(seeds),
         "cases": len(rows),
@@ -247,7 +220,7 @@ def run_survival(seeds):
     return summary, failures
 
 
-def run_determinism(seeds):
+def run_determinism(seeds, emit):
     """Same module, same fuel, two fresh engines: outcomes bit-identical."""
     workloads, _ = _corpus_module(seeds)
     prints = []
@@ -266,7 +239,7 @@ def run_determinism(seeds):
     digest = hashlib.sha256(
         json.dumps(prints[0], sort_keys=True).encode()
     ).hexdigest()
-    report("BENCH_guard_determinism", [
+    emit("BENCH_guard_determinism", [
         f"functions={len(prints[0])} fuel={TIGHT_FUEL} "
         f"identical={'yes' if not failures else 'NO'}",
         f"outcome_digest={digest}",
@@ -283,15 +256,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     seeds = QUICK_SEEDS if args.quick else SEEDS
 
-    survival, failures = run_survival(seeds)
-    determinism, det_failures = run_determinism(seeds)
+    emit = show if args.quick else report
+    survival, failures = run_survival(seeds, emit)
+    determinism, det_failures = run_determinism(seeds, emit)
     failures += det_failures
 
-    _save_baseline({
-        "survival": survival,
-        "determinism": determinism,
-        "quick": args.quick,
-    })
+    if not args.quick:
+        _save_baseline({"survival": survival, "determinism": determinism})
 
     if failures:
         for failure in failures:

@@ -1,4 +1,5 @@
-"""E15 -- allocation-time scaling (Appendix A complexity remarks).
+"""E15 -- allocation-time scaling (Appendix A complexity remarks), and the
+repo's calibrated timing gates.
 
 "Execution time [of fix-up] is O(||E|| * h(T)) ... It is expected that
 actual times will not approach this bound in practice.  Execution time of
@@ -9,6 +10,26 @@ relation."
 We time tile-tree construction and full allocation on growing programs and
 check growth stays near-linear (doubling the program should far less than
 quadruple the time).
+
+The rest of this file holds the timing gates no count can replace.  Each
+compares a wall-clock time here against one recorded on another machine
+in ``BENCH_analysis_speed.json``, scaled by the calibration ratio: the
+string-set reference analysis (the seed's algorithm, which no
+optimization touches) timed here over the time recorded with the
+baseline.  The baseline file is frozen, so a missing section fails the
+gate.  The gates print their tables and write nothing.
+
+* ``-k quick`` (CI's perf gate): end-to-end allocation within 2x of
+  ``current.end_to_end``; cold-module throughput >= 2.5x the
+  seed-equivalent of ``cold_path_anchor``.
+* the rest: end-to-end allocation >= 3x the seed on ``rand_struct_428``;
+  cold-module throughput >= 4x the seed-equivalent; and, on >= 4 CPUs,
+  cold throughput at 4 pool workers >= 2x that at 1 worker.
+
+Run them under ``PYTHONHASHSEED=0``, as CI does.  Counts and fuel
+ratios gate the rest of the engine, the tile memo and the service in
+tier-1 (``tests/test_batch_engine.py``, ``tests/test_incremental.py``,
+``tests/test_service.py``).
 """
 
 import json
@@ -17,21 +38,26 @@ import time
 
 import pytest
 
-from conftest import fmt_row, report
+from conftest import fmt_row, report, show
 
 from repro.allocators import ChaitinAllocator
 from repro.analysis.reference import reference_interference, reference_liveness
+from repro.batch import BatchConfig, BatchEngine, synthetic_module
 from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.determinism import build_workload, workload_names
 from repro.machine.target import Machine
-from repro.pipeline import Workload, prepare
+from repro.pipeline import prepare
 from repro.tiles.construction import build_tile_tree_detailed
-from repro.workloads.generators import random_program
 from repro.workloads.kernels import sequential_loops
 
 MACHINE = Machine.simple(4)
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_analysis_speed.json"
 )
+#: The bench workloads the quick end-to-end gate times.
+QUICK_WORKLOADS = ("seq_loops_100", "rand_struct_327")
+#: The largest bench workload: the full end-to-end gate's subject.
+LARGEST = "rand_struct_428"
 
 
 def _time(callable_, repeats=3):
@@ -93,120 +119,203 @@ def test_allocation_scaling(benchmark):
     ))
 
 
-# Quick regression gate (CI runs just this with ``-k quick``): end-to-end
-# allocation must stay within 2x of the committed baseline in
-# BENCH_analysis_speed.json.  The recorded times come from one machine;
-# the string-set reference analysis (the seed algorithm, untouched by
-# optimization work) is re-timed here and the baseline scaled by the
-# calibration ratio so the gate transfers across machines.
-QUICK_WORKLOADS = {
-    "seq_loops_100": lambda: sequential_loops(100),
-    "rand_struct_327": lambda: random_program(
-        seed=1, max_blocks=400, max_vars=40, max_depth=6, break_prob=0.05
-    ),
-}
-
-
-def _strset_analysis(fn):
-    liv = reference_liveness(fn)
-    for label in fn.blocks:
-        liv.instr_live_out(label)
-    reference_interference(fn, liv)
-
-
-def test_quick_regression_gate():
+# ----------------------------------------------------------------------
+# calibrated timing gates
+# ----------------------------------------------------------------------
+def _baseline(*path):
+    """The section of the committed baseline at *path*."""
     with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    recorded = baseline.get("current", {}).get("end_to_end", {})
-    if not recorded:
-        pytest.skip("no committed end-to-end baseline yet")
-
-    machine = Machine.simple(8)
-    config = HierarchicalConfig()
-    widths = [16, 12, 12, 8]
-    rows = [fmt_row(["workload", "limit (ms)", "now (ms)", "ratio"], widths)]
-    failures = []
-    for name, factory in QUICK_WORKLOADS.items():
-        rec = recorded.get(name)
-        if rec is None:
-            continue
-        fn = factory()
-        cur = _time(
-            lambda: HierarchicalAllocator(config).allocate(
-                fn.clone(), machine
-            ),
-            repeats=3,
+        node = json.load(fh)
+    for depth, key in enumerate(path):
+        assert key in node, (
+            f"BENCH_analysis_speed.json has no "
+            f"{'.'.join(path[:depth + 1])}: the committed baseline is broken"
         )
-        calib_now = _time(lambda: _strset_analysis(fn), repeats=3)
-        scale = calib_now / max(rec["calibration_strset_s"], 1e-9)
-        limit = rec["end_to_end_s"] * scale * 2.0
-        rows.append(fmt_row(
-            [name, round(limit * 1e3, 1), round(cur * 1e3, 1),
-             round(cur / max(limit, 1e-9), 2)],
-            widths,
-        ))
-        if cur > limit:
-            failures.append(
-                f"{name}: {cur * 1e3:.1f}ms exceeds 2x baseline "
-                f"({limit * 1e3:.1f}ms machine-normalized)"
-            )
-    report("E15_quick_gate", rows)
-    assert not failures, "; ".join(failures)
+        node = node[key]
+    return node
 
 
-def test_quick_cold_path_gate():
-    """Cold-module throughput >= 2.5x the seed-equivalent baseline.
+def _strset_s(name):
+    """Best-of-3 time of the string-set reference analysis on one bench
+    workload: the calibration every gate scales its recorded time by."""
+    fn = build_workload(name).fn
 
-    CI's quick perf gate for the flattened cold path: one inline
-    (``batch_workers=0``) cold pass through the batch engine on the
-    anchor's module size, compared against the frozen
-    ``cold_path_anchor`` in ``BENCH_analysis_speed.json`` (see its
-    ``note`` for how the seed-equivalent fn/s is derived), machine-
-    normalized by the aggregate string-set calibration ratio.  The full
-    bench (``bench_analysis_speed.py::test_cold_path_throughput``) gates
-    the stricter 3x and records the trajectory; this is the cheap
-    regression tripwire.  Run under ``PYTHONHASHSEED=0`` (as CI does)
-    for comparable timings.
-    """
-    from bench_analysis_speed import (
-        WORKLOADS,
-        _run_analysis_reference,
-    )
-    from repro.batch import BatchConfig, BatchEngine, synthetic_module
+    def run():
+        liveness = reference_liveness(fn)
+        for label in fn.blocks:
+            liveness.instr_live_out(label)
+        reference_interference(fn, liveness)
 
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    anchor = baseline.get("cold_path_anchor")
-    if anchor is None:
-        pytest.skip("no committed cold_path_anchor yet")
+    return _time(run)
 
+
+def _end_to_end(name):
+    """(blocks, allocation s, calibration s) for one bench workload,
+    allocated at 8 registers under the default config, best of 3."""
+    fn = build_workload(name).fn
+    machine = Machine.simple(8)
+    seconds = _time(lambda: HierarchicalAllocator(HierarchicalConfig())
+                    .allocate(fn.clone(), machine))
+    return len(fn.blocks), seconds, _strset_s(name)
+
+
+def _cold_path(repeats):
+    """Cold-module throughput through a fresh inline engine on the
+    anchor's module, best of *repeats*, over the anchor's seed-equivalent
+    fn/s scaled to this machine by the aggregate calibration ratio (see
+    ``cold_path_anchor.note`` for how that figure was derived)."""
+    anchor = _baseline("cold_path_anchor")
     workloads = synthetic_module(anchor["recorded_module_functions"])
-    n = len(workloads)
     best = float("inf")
-    for _ in range(2):
+    for _ in range(repeats):
         with BatchEngine(batch=BatchConfig(batch_workers=0)) as engine:
             start = time.perf_counter()
             module = engine.allocate_module(workloads)
             best = min(best, time.perf_counter() - start)
         assert not module.failures, "cold pass had failures"
-    cold_fps = n / max(best, 1e-9)
-
-    calib_now = 0.0
-    for name, factory in WORKLOADS:
-        fn = factory()
-        calib_now += _time(lambda: _run_analysis_reference(fn), repeats=3)
-    machine_ratio = calib_now / max(anchor["calibration_strset_agg_s"], 1e-9)
-    seed_fps_here = anchor["seed_equiv_cold_fps"] / machine_ratio
-    speedup = cold_fps / max(seed_fps_here, 1e-9)
-
-    widths = [26, 12]
-    rows = [fmt_row(["metric", "value"], widths)]
-    rows.append(fmt_row(["cold fn/s", round(cold_fps, 2)], widths))
-    rows.append(fmt_row(["seed-equiv fn/s", round(seed_fps_here, 2)], widths))
-    rows.append(fmt_row(["speedup vs seed", round(speedup, 2)], widths))
-    report("E15_quick_cold_path", rows)
-
-    assert speedup >= 2.5, (
-        f"cold path {cold_fps:.1f} fn/s is only {speedup:.2f}x the "
-        f"seed-equivalent {seed_fps_here:.1f} fn/s (need >= 2.5x)"
+        assert not any(r.cached for r in module), "cold pass hit the cache"
+    ratio = (
+        sum(_strset_s(name) for name in workload_names())
+        / anchor["calibration_strset_agg_s"]
     )
+    # fn/s scales inversely with time: a slower machine (ratio > 1)
+    # would have recorded proportionally fewer fn/s.
+    cold_fps = len(workloads) / best
+    seed_fps = anchor["seed_equiv_cold_fps"] / ratio
+    widths = [20, 12]
+    show("cold path", [
+        fmt_row(["metric", "value"], widths),
+        fmt_row(["cold fn/s", round(cold_fps, 2)], widths),
+        fmt_row(["seed-equiv fn/s", round(seed_fps, 2)], widths),
+        fmt_row(["speedup vs seed", round(cold_fps / seed_fps, 2)], widths),
+    ])
+    return cold_fps / seed_fps
+
+
+def test_quick_regression_gate():
+    """End-to-end allocation within 2x of ``current.end_to_end``,
+    machine-normalized per workload by its own calibration."""
+    widths = [16, 12, 12, 8]
+    rows = [fmt_row(["workload", "limit (ms)", "now (ms)", "ratio"], widths)]
+    failures = []
+    for name in QUICK_WORKLOADS:
+        rec = _baseline("current", "end_to_end", name)
+        _, now, calib = _end_to_end(name)
+        limit = rec["end_to_end_s"] * calib / rec["calibration_strset_s"] * 2
+        rows.append(fmt_row(
+            [name, round(limit * 1e3, 1), round(now * 1e3, 1),
+             round(now / limit, 2)],
+            widths,
+        ))
+        if now > limit:
+            failures.append(
+                f"{name}: {now * 1e3:.1f}ms exceeds 2x baseline "
+                f"({limit * 1e3:.1f}ms machine-normalized)"
+            )
+    show("end-to-end vs recorded", rows)
+    assert not failures, "; ".join(failures)
+
+
+def test_quick_cold_path_gate():
+    """Cold-module throughput >= 2.5x the seed-equivalent baseline: the
+    cheap tripwire; ``test_cold_path_throughput`` holds 4x."""
+    speedup = _cold_path(repeats=2)
+    assert speedup >= 2.5, (
+        f"cold path is only {speedup:.2f}x the seed-equivalent (need >= 2.5x)"
+    )
+
+
+def test_end_to_end_speedup(benchmark):
+    """>= 3x end-to-end allocation speedup over the recorded seed on the
+    largest workload.  On a machine M the normalized speedup is
+
+        (seed_e2e_recorded / e2e_on_M) * (calib_on_M / calib_recorded)
+    """
+    widths = [16, 8, 12, 12, 10]
+    rows = [fmt_row(
+        ["workload", "blocks", "seed (ms)*", "now (ms)", "speedup"], widths
+    )]
+    speedups = {}
+    for name in workload_names():
+        rec = _baseline("seed_baseline", "workloads", name)
+        blocks, now, calib = _end_to_end(name)
+        seed = rec["end_to_end_s"] * calib / rec["calibration_strset_s"]
+        speedups[name] = seed / now
+        rows.append(fmt_row(
+            [name, blocks, round(seed * 1e3, 1), round(now * 1e3, 1),
+             round(speedups[name], 2)],
+            widths,
+        ))
+    rows.append("* seed time scaled by the strset-calibration ratio")
+    show("end-to-end vs seed", rows)
+    assert speedups[LARGEST] >= 3.0, (
+        f"{LARGEST}: end-to-end speedup {speedups[LARGEST]:.2f}x < 3x"
+    )
+
+    fn = build_workload("seq_loops_100").fn
+    allocator = HierarchicalAllocator(HierarchicalConfig())
+    benchmark(lambda: allocator.allocate(fn.clone(), Machine.simple(8)))
+
+
+def test_cold_path_throughput(benchmark):
+    """>= 4x cold-module throughput over the seed-equivalent baseline.
+
+    Cold path = what a compiler pays on first contact with a module:
+    format + fingerprint + full hierarchical allocation with differential
+    verification, inline (``batch_workers=0``) through a fresh
+    :class:`~repro.batch.BatchEngine`, so no cache and no pool startup
+    pollute the number.  ``repro batch --profile`` attributes it to
+    stages.
+    """
+    speedup = _cold_path(repeats=3)
+    # Floor set after the dense select-loop / arena temp-node change,
+    # whose calibrated runs measured 5.2-7.6x on a noisy shared host
+    # (worst observed sample 4.31x); 4.0 keeps headroom for machine
+    # jitter while still catching a regression to the level before it.
+    assert speedup >= 4.0, (
+        f"cold path is only {speedup:.2f}x the seed-equivalent (need >= 4x)"
+    )
+
+    small = synthetic_module(8)
+    with BatchEngine(batch=BatchConfig(batch_workers=0)) as engine:
+
+        def run():
+            engine.cache.clear_memory()
+            engine.allocate_module(small)
+
+        benchmark(run)
+
+
+def test_pool_scaling(benchmark):
+    """Cold throughput at 4 pool workers >= 2x that at 1 worker on a
+    120-function module (big enough that pool startup, a few hundred ms,
+    does not dominate).  More processes than cores measures
+    oversubscription, not scaling, so this needs >= 4 CPUs."""
+    if (os.cpu_count() or 1) < 4:
+        pytest.skip("pool scaling needs >= 4 CPUs")
+    workloads = synthetic_module(120)
+    cold_s = {}
+    for workers in (1, 4):
+        with BatchEngine(batch=BatchConfig(batch_workers=workers)) as engine:
+            start = time.perf_counter()
+            module = engine.allocate_module(workloads)
+            cold_s[workers] = time.perf_counter() - start
+        assert not module.failures, "cold pass had failures"
+    scaling = cold_s[1] / cold_s[4]
+    widths = [8, 10, 12]
+    rows = [fmt_row(["workers", "cold (s)", "cold (f/s)"], widths)]
+    for workers, seconds in sorted(cold_s.items()):
+        rows.append(fmt_row(
+            [workers, round(seconds, 3), round(len(workloads) / seconds, 1)],
+            widths,
+        ))
+    show("pool scaling", rows)
+    assert scaling >= 2.0, (
+        f"cold throughput at 4 workers only {scaling:.2f}x that at 1 "
+        f"(need >= 2x)"
+    )
+
+    small = synthetic_module(12)
+    with BatchEngine(batch=BatchConfig(batch_workers=0)) as engine:
+        engine.allocate_module(small)
+        benchmark(lambda: engine.allocate_module(small))

@@ -16,13 +16,19 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def report(name: str, lines: Iterable[str]) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+def show(name: str, lines: Iterable[str]) -> str:
+    """Print a result table; returns its text."""
     text = "\n".join(lines)
     print()
     print(f"=== {name} ===")
     print(text)
+    return text
+
+
+def report(name: str, lines: Iterable[str]) -> None:
+    """Print a result table and persist it under benchmarks/results/."""
+    text = show(name, lines)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
 

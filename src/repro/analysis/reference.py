@@ -5,9 +5,9 @@ sets; ``repro.analysis.liveness`` and ``repro.graph.interference`` now run
 over interned bitsets.  This module preserves the original algorithms
 verbatim as an *oracle*: the property tests assert the bitset
 implementations produce exactly the same sets and edges on random
-structured programs, and ``benchmarks/bench_analysis_speed.py`` uses them
-to report the analysis-layer speedup.  Nothing in the allocator imports
-this module.
+structured programs, and ``benchmarks/bench_scalability.py`` times them
+to normalize its timing gates for machine speed.  Nothing in the
+allocator imports this module.
 """
 
 from __future__ import annotations

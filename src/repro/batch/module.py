@@ -7,8 +7,8 @@ A *module* is just an ordered list of :class:`~repro.pipeline.Workload`:
   LRU state and result order -- is reproducible across runs and
   machines);
 * :func:`synthetic_module` -- a deterministic generated module of
-  arbitrary size, used by ``benchmarks/bench_batch.py`` and the batch
-  mode of ``repro.determinism`` (every function comes with runnable
+  arbitrary size, used by perfbench, the timing gates, the tests and the
+  batch mode of ``repro.determinism`` (every function comes with runnable
   inputs so dynamic costs are simulated and verified).
 
 A directory load is fault-isolated the same way the engine is: one

@@ -66,8 +66,8 @@ Fingerprint = Dict[str, object]
 
 
 def _bench_workloads() -> List[Tuple[str, Callable[[], Function]]]:
-    """The bench workload set (mirrors ``bench_analysis_speed.WORKLOADS``,
-    including the 428-block random program)."""
+    """The bench workload set, including the 428-block random program
+    (``benchmarks/bench_scalability.py`` times the same set)."""
     return [
         ("seq_loops_100", lambda: sequential_loops(100)),
         ("rand_struct_327", lambda: random_program(

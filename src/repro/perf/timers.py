@@ -90,8 +90,7 @@ class StageTimers:
     def report(self, total: Optional[float] = None) -> str:
         """Human-readable attribution table: one line per stage, sorted by
         descending time, with share of *total* (defaults to the stage
-        sum) -- the ``--profile`` CLI flag and the analysis bench print
-        this."""
+        sum) -- the ``--profile`` CLI flag prints this."""
         with self._lock:
             times = dict(self._times)
             counts = dict(self._counts)

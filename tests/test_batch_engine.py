@@ -51,11 +51,24 @@ class TestEngineBasics:
         assert [r.name for r in results] == [w.label() for w in module]
         assert all(not r.cached and r.source == "computed" for r in results)
 
-    def test_warm_pass_served_from_cache(self):
+    def test_warm_pass_served_from_cache(self, monkeypatch):
         module = small_module()
+        calls = count_calls(
+            monkeypatch, "compute_record", "parse_function", "format_function"
+        )
         with BatchEngine(batch=BatchConfig()) as engine:
             cold = engine.allocate_module(module)
+            # the counters sit where the engine looks its callees up; the
+            # cold pass parses nothing, since it allocates in-memory
+            # functions
+            assert calls == {
+                "compute_record": len(module),
+                "format_function": len(module),
+            }
+            calls.clear()
             warm = engine.allocate_module(module)
+        # The warm pass computes, parses and prints nothing.
+        assert calls == {}
         assert all(r.cached and r.worker == "cache" for r in warm)
         assert [r.record for r in cold] == [r.record for r in warm]
 
@@ -219,6 +232,24 @@ class TestMatchesSingleFunctionPipeline:
         assert record.costs is None and record.returned is None
         assert record.allocated_text
         assert record.bindings
+
+
+def count_calls(monkeypatch, *names) -> collections.Counter:
+    """Count calls of the named ``repro.batch.engine`` globals."""
+    calls: collections.Counter = collections.Counter()
+
+    def wrap(name):
+        original = getattr(engine_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, name, counted)
+
+    for name in names:
+        wrap(name)
+    return calls
 
 
 def count_formats(monkeypatch) -> collections.Counter:

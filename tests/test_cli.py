@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.ir import format_function
-from repro.workloads.kernels import dot
+from repro.workloads.kernels import all_kernel_workloads, dot
 
 
 @pytest.fixture
@@ -103,6 +103,53 @@ class TestAllocate:
             arrays={"A": [2, 2, 2], "B": [3, 3, 3]},
         )
         assert result.returned == (18,)
+
+
+#: The allocator stages ``--profile`` attributes time to.
+STAGES = ("tile_tree", "context", "phase1", "phase2", "rewrite")
+
+
+def stage_profile(text):
+    """``{stage: call count}`` from the ``# stage profile`` table."""
+    _, _, table = text.partition("# stage profile")
+    rows = {}
+    for line in table.splitlines()[1:]:
+        if not line.startswith("#   "):
+            break
+        name, *_, count = line[1:].split()
+        rows[name] = int(count.lstrip("x"))
+    return rows
+
+
+class TestStageProfile:
+    def test_allocate_profiles_every_stage(self, dot_file):
+        code, text = run_cli([
+            "allocate", dot_file, "--registers", "4", "--profile",
+            "--arg", "n=4", "--array", "A=1,2,3,4", "--array", "B=5,6,7,8",
+        ])
+        assert code == 0
+        assert stage_profile(text) == {stage: 1 for stage in STAGES}
+
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_batch_profile_sums_stages_over_functions(
+        self, tmp_path, workers
+    ):
+        """A pool worker's stage times travel back in
+        ``timing["stage_times"]``, so both paths count every stage once
+        per function."""
+        workloads = all_kernel_workloads(4)[:3]
+        for workload in workloads:
+            (tmp_path / f"{workload.label()}.ir").write_text(
+                format_function(workload.fn)
+            )
+        code, text = run_cli([
+            "batch", str(tmp_path), "--no-simulate", "--profile",
+            "--workers", workers,
+        ])
+        assert code == 0
+        assert stage_profile(text) == {
+            stage: len(workloads) for stage in STAGES
+        }
 
 
 class TestMiniLangInput:

@@ -24,12 +24,14 @@ from repro.batch.serialize import (
 )
 from repro.batch.worker import compute_record
 from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.core.budget import BudgetLimits
 from repro.core.incremental import (
     TileCacheStore,
     copy_allocation,
     tile_invalidation_key,
 )
 from repro.core.summary import TileAllocation, TileMetrics
+from repro.determinism import build_workload, edit_one_block
 from repro.ir.instructions import Opcode
 from repro.machine.target import Machine
 from repro.perf.arena import FunctionArena
@@ -210,6 +212,8 @@ class TestWarmReplay:
         assert counters["subtrees_reused"] >= 11
         assert counters["tile_hits"] >= 11
         assert counters["tile_misses"] >= 1  # the dirty chain recomputed
+        # ... and only that chain: at most one tile per tree level.
+        assert counters["tile_misses"] <= warm.stats.extra["tree_height"] + 1
 
     def test_edited_output_matches_fresh_allocation(self):
         base = prepare(sequential_loops(12))
@@ -223,6 +227,29 @@ class TestWarmReplay:
         fresh, _ = _allocate(edited, store=None)
         assert _text(warm) == _text(fresh)
         assert warm.stats.spilled_vars == fresh.stats.spilled_vars
+
+    def test_edited_reallocation_spends_under_half_the_cold_fuel(self):
+        """What the memo saves, counted exactly: a replayed tile never
+        runs ``allocate_tile``, so it spends no fuel.  (Wall time is too
+        noisy to gate: two runs with equal fuel can differ by 40%.)"""
+        limits = BudgetLimits(max_fuel=10**15)
+        base = prepare(build_workload("seq_loops_100").fn)
+        edited_fn = build_workload("seq_loops_100").fn
+        edit_one_block(edited_fn)
+        edited = prepare(edited_fn)
+
+        warm = HierarchicalAllocator(
+            HierarchicalConfig(), tile_store=TileCacheStore(),
+            budget_limits=limits,
+        )
+        warm.allocate(base.clone(), MACHINE)
+        warm.allocate(edited.clone(), MACHINE)
+        cold = HierarchicalAllocator(
+            HierarchicalConfig(), budget_limits=limits
+        )
+        cold.allocate(edited.clone(), MACHINE)
+        spent = (warm.last_budget["spent"], cold.last_budget["spent"])
+        assert spent[0] <= 0.5 * spent[1], f"warm/cold fuel {spent}"
 
     def test_stats_graph_counts_survive_phase2_replay(self):
         """A warm run reports the same graph-size stats as a cold one
@@ -391,6 +418,38 @@ class TestBatchPlumbing:
             # One worker owns one store: the second pass replays from it
             # and the counters travel back through the pool plumbing.
             assert engine.stats.tile_hits == first
+
+    def test_module_edit_recomputes_only_the_edited_function(self):
+        """One edit in a warm module: the engine cache serves every other
+        function, and the tile store serves most of the edited one."""
+        from repro.batch import BatchConfig, BatchEngine, synthetic_module
+
+        workloads = synthetic_module(40)
+        # The largest function the edit applies to: the more tiles, the
+        # smaller the share its dirty chain takes.
+        victim = max(
+            (w for w in workloads if _const_sites(w.fn)),
+            key=lambda w: len(w.fn.blocks),
+        )
+        batch = BatchConfig(batch_workers=0, tile_cache=True)
+        with BatchEngine(batch=batch) as engine:
+            stats = engine.stats
+
+            def counters():
+                return (stats.computed, stats.tile_hits, stats.tile_misses,
+                        stats.subtrees_reused)
+
+            engine.allocate_module(workloads)
+            before = counters()
+            edit_one_block(victim.fn)
+            results = engine.allocate_module(workloads)
+            computed, hits, misses, subtrees = (
+                after - prior for after, prior in zip(counters(), before)
+            )
+        assert computed == 1
+        assert [r.name for r in results if not r.cached] == [victim.label()]
+        assert subtrees >= 1
+        assert misses <= 0.5 * (hits + misses), (hits, misses)
 
     def test_tile_cache_off_reports_no_counters(self):
         from repro.batch import BatchConfig, BatchEngine, synthetic_module

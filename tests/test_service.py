@@ -459,6 +459,47 @@ class TestCoalescing:
 
         run(main())
 
+    def test_load_computes_each_distinct_function_once(self):
+        """60 concurrent requests over 12 distinct functions, the same 60
+        again, then 60 over 5 on a fresh service: every request gets an
+        ok 200, each distinct function is computed once, and the repeat
+        is decoded from the source memo and served from the cache."""
+        async def fire(client, texts):
+            replies = await asyncio.gather(*(
+                client.allocate([{"text": texts[i % len(texts)]}])
+                for i in range(60)
+            ))
+            for reply in replies:
+                assert reply.status == 200, reply.data
+                (result,) = reply.data["results"]
+                assert result["ok"], result["error"]
+
+        async def memo_hits(client):
+            return (await client.metrics()).data["service"]["sources"]["hits"]
+
+        def texts(count):
+            return [format_function(w.fn) for w in synthetic_module(count)]
+
+        def config():
+            return service_config(batch_kwargs={"simulate": False})
+
+        async def main():
+            async with AllocationService(config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    twelve = texts(12)
+                    await fire(client, twelve)
+                    assert svc.engine.stats.computed == 12
+                    hits = await memo_hits(client)
+                    await fire(client, twelve)
+                    assert svc.engine.stats.computed == 12
+                    assert await memo_hits(client) == hits + 60
+            async with AllocationService(config()) as svc:
+                async with ServiceClient("127.0.0.1", svc.port) as client:
+                    await fire(client, texts(5))
+                    assert svc.engine.stats.computed == 5
+
+        run(main())
+
     def test_duplicates_within_one_request_share_an_entry(self):
         async def main():
             async with AllocationService(service_config()) as svc:
