@@ -8,8 +8,9 @@ phases at tile granularity so re-allocation recomputes only the dirty
 subtree:
 
 * :func:`tile_fingerprint` -- content address of everything phase 1 of
-  one tile can observe: the tile's own blocks (canonical text including
-  uids and clobbers, execution frequency, block-level live-out), the
+  one tile can observe: the tile's own blocks (per instruction the uid,
+  opcode, defs, uses and clobbers, but no immediate; execution
+  frequency; block-level live-out), the
   boundary-edge signature (edge, frequency, full live set), the visible
   variables with their locality bits, the children's fingerprints, and
   the allocator/machine/code-version invalidation key (reused from
@@ -71,7 +72,7 @@ from repro.trace.events import StageTiming, TileCacheHit
 
 #: Bump when the fingerprint recipe below changes: old entries must never
 #: answer for inputs hashed under a different recipe.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 
 def tile_invalidation_key(config: HierarchicalConfig, machine: Machine) -> str:
@@ -113,11 +114,13 @@ def tile_fingerprint(
     * the tile id (embedded in summary-variable and pseudo-color names)
       and kind;
     * the function's parameter list (phase-2 renaming, liveness at entry);
-    * per own block, in sorted label order: the canonical block digest
-      (text, uids, clobbers, successors), the execution frequency, and
-      the block-level live-out set (instruction-level liveness inside the
-      block derives from it -- a distant edit that changes what is live
-      out of an own block must dirty the tile);
+    * per own block, in sorted label order: the block digest
+      (:meth:`~repro.perf.arena.FunctionArena.block_digest`: label,
+      successors, and per instruction the uid, opcode, defs, uses and
+      clobbers), the execution frequency, and the block-level live-out
+      set (instruction-level liveness inside the block derives from it
+      -- a distant edit that changes what is live out of an own block
+      must dirty the tile);
     * per boundary edge, in boundary-edge order: endpoints, edge
       frequency, and the full live-on-edge set (boundary cliques,
       intruder candidates and their transfer costs all derive from it);
@@ -126,6 +129,11 @@ def tile_fingerprint(
       wide* reference sets, which the block digests cannot see);
     * the children's fingerprints, in child order;
     * the invalidation key (allocator source, config, machine).
+
+    Immediates are not hashed: nothing before the spill rewrite reads
+    one, and the rewrite always runs fresh on the current function, so
+    an edit that changes only a constant (or an array or callee name)
+    replays every tile and the output still prints the new value.
 
     Frequencies are hashed as ``float.hex()`` -- exact, no formatting
     loss; ULP-level frequency changes legitimately dirty a tile because

@@ -45,6 +45,7 @@ from repro.batch.worker import compute_record
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.budget import BudgetLimits
 from repro.ir.function import Function
+from repro.ir.instructions import Opcode
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, prepare
@@ -147,6 +148,52 @@ def edit_one_block(fn: Function) -> str:
         raise RuntimeError(f"{fn.name}: no CONST instruction to edit")
     label, index = sites[len(sites) // 2]
     fn.block(label).instrs[index].imm += 1
+    return label
+
+
+#: Binary opcodes whose operands commute: swapping them keeps the
+#: program's meaning.
+COMMUTATIVE = frozenset({
+    Opcode.ADD, Opcode.MUL, Opcode.MIN, Opcode.MAX, Opcode.AND, Opcode.OR,
+    Opcode.CMP_EQ, Opcode.CMP_NE,
+})
+
+
+def commutative_sites(fn: Function) -> List[Tuple[str, int]]:
+    """The (label, index) of every commutative binary instruction
+    (:data:`COMMUTATIVE`) in *fn* whose two uses differ, in the block
+    dict's insertion order: the sites :func:`swap_operands` picks from."""
+    return [
+        (block.label, i)
+        for block in fn
+        for i, instr in enumerate(block.instrs)
+        if instr.op in COMMUTATIVE and instr.uses[0] != instr.uses[1]
+    ]
+
+
+def swap_operands(fn: Function) -> str:
+    """Apply a deterministic single-block edit to *fn* in place that
+    changes an allocation input but keeps the program's meaning.
+
+    Swaps the two uses of one of :func:`commutative_sites` and returns
+    the edited block's label.  The instruction is picked the way
+    :func:`edit_one_block` picks its ``CONST``: the middle site in the
+    block dict's insertion order, skipping the start block when another
+    block has one.  Where :func:`edit_one_block` changes only an
+    immediate, which no stage before the spill rewrite reads, this edit
+    changes an instruction's operand order, so it dirties the tile that
+    owns the block and that tile's ancestor chain.
+    """
+    sites = commutative_sites(fn)
+    inner = [s for s in sites if s[0] != fn.start_label]
+    sites = inner or sites
+    if not sites:
+        raise RuntimeError(
+            f"{fn.name}: no commutative instruction with distinct operands"
+        )
+    label, index = sites[len(sites) // 2]
+    instr = fn.block(label).instrs[index]
+    instr.uses = instr.uses[::-1]
     return label
 
 
@@ -309,19 +356,30 @@ def _service_mode(
     return out
 
 
+#: The incremental mode's edits, each applied to a fresh build of the
+#: workload: (section key, edit, whether the edit must dirty a tile).
+_INCREMENTAL_EDITS = (
+    ("swap_operands", swap_operands, True),
+    ("bump_const", edit_one_block, False),
+)
+
+
 def _incremental_mode(
     names: Sequence[str], registers: int, _on: bool
 ) -> ModeResult:
     """The per-tile memoization proof.
 
     For each workload: allocate cold with a tile store attached (filling
-    it; this is the fingerprint compared with the direct one), apply the
-    single-block edit of :func:`edit_one_block`, re-allocate *warm*
-    against the same store, and allocate the same edit fresh with no
-    store.  The warm result must equal the fresh one, and the reuse
-    counters must show at least one clean subtree served from the store
-    and at least one dirty tile recomputed.  The counters join the
-    section, so the cross-process comparison covers them too.
+    it; this is the fingerprint compared with the direct one), then, for
+    each edit of :data:`_INCREMENTAL_EDITS`, apply it to a fresh build,
+    re-allocate *warm* against the same store, and allocate the same edit
+    fresh with no store.  The warm result must equal the fresh one.
+    :func:`swap_operands` must reuse at least one clean subtree from the
+    store and recompute at least one dirty tile.  :func:`edit_one_block`
+    changes only an immediate, so it must replay every tile (no miss, the
+    whole tree one reused subtree) and still print a program that differs
+    from the unedited one.  The counters join the section, so the
+    cross-process comparison covers them too.
     """
     from repro.core.incremental import TileCacheStore
 
@@ -330,38 +388,56 @@ def _incremental_mode(
     for name in names:
         store = TileCacheStore()
         base, _, _ = _record(build_workload(name), machine, tile_store=store)
-        edited = build_workload(name)
-        edited_label = edit_one_block(edited.fn)
-        warm, _, counters = _record(edited, machine, tile_store=store)
-        counters = dict(counters)
-
-        fresh = build_workload(name)
-        edit_one_block(fresh.fn)
-        full_fp = allocation_fingerprint(fresh, machine)
-        warm_fp = warm.fingerprint_dict()
-        if warm_fp != full_fp:
-            raise RuntimeError(_diverged(
-                name, "warm incremental re-allocation diverges from the "
-                "fresh full allocation of the same edit", full_fp, warm_fp,
-            ))
-        if counters.get("subtrees_reused", 0) < 1:
-            raise RuntimeError(
-                f"{name}: warm re-allocation reused no clean subtree "
-                f"(counters: {counters}) -- the tile cache is not hitting"
-            )
-        if counters.get("tile_misses", 0) < 1:
-            raise RuntimeError(
-                f"{name}: warm re-allocation recomputed nothing "
-                f"(counters: {counters}) -- the edit did not dirty a tile"
-            )
         base_fp = base.fingerprint_dict()
-        out[name] = base_fp, {
-            "edited_block": edited_label,
-            "base": base_fp,
-            "full": full_fp,
-            "incremental": warm_fp,
-            "reuse": counters,
-        }
+        section: Dict[str, object] = {"base": base_fp}
+        for key, edit, dirties in _INCREMENTAL_EDITS:
+            edited = build_workload(name)
+            edited_label = edit(edited.fn)
+            warm, _, counters = _record(edited, machine, tile_store=store)
+            counters = dict(counters)
+
+            fresh = build_workload(name)
+            edit(fresh.fn)
+            full_fp = allocation_fingerprint(fresh, machine)
+            warm_fp = warm.fingerprint_dict()
+            if warm_fp != full_fp:
+                raise RuntimeError(_diverged(
+                    name, f"warm incremental re-allocation after {key} "
+                    "diverges from the fresh full allocation of the same "
+                    "edit", full_fp, warm_fp,
+                ))
+            if dirties:
+                if counters.get("subtrees_reused", 0) < 1:
+                    raise RuntimeError(
+                        f"{name}: warm re-allocation after {key} reused no "
+                        f"clean subtree (counters: {counters}) -- the tile "
+                        "cache is not hitting"
+                    )
+                if counters.get("tile_misses", 0) < 1:
+                    raise RuntimeError(
+                        f"{name}: warm re-allocation after {key} recomputed "
+                        f"nothing (counters: {counters}) -- the edit did "
+                        "not dirty a tile"
+                    )
+            elif (counters.get("tile_misses") != 0
+                    or counters.get("subtrees_reused") != 1):
+                raise RuntimeError(
+                    f"{name}: warm re-allocation after {key} did not "
+                    f"replay every tile (counters: {counters}) -- an "
+                    "immediate reached a tile fingerprint"
+                )
+            elif warm_fp["program_sha256"] == base_fp["program_sha256"]:
+                raise RuntimeError(
+                    f"{name}: warm re-allocation after {key} printed the "
+                    "unedited program"
+                )
+            section[key] = {
+                "edited_block": edited_label,
+                "full": full_fp,
+                "incremental": warm_fp,
+                "reuse": counters,
+            }
+        out[name] = base_fp, section
     return out
 
 
@@ -422,9 +498,10 @@ MODES: Dict[str, Mode] = {
     ),
     "incremental": Mode(
         _incremental_mode,
-        "run the per-tile memoization proof: edit one block, re-allocate "
-        "warm against the tile store, compare against a fresh full "
-        "allocation of the same edit (reuse counters included)",
+        "run the per-tile memoization proof: for an operand swap and a "
+        "constant bump, re-allocate warm against the tile store and "
+        "compare against a fresh full allocation of the same edit (reuse "
+        "counters included)",
     ),
     "budget": Mode(
         _budget_mode,

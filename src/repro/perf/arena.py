@@ -357,12 +357,15 @@ class FunctionArena:
     # per-block content digests (tile fingerprint ingredient)
     # ------------------------------------------------------------------
     def block_digest(self, bid: int) -> str:
-        """Canonical sha256 of block *bid*'s identity and content.
+        """sha256 of what allocation reads from block *bid*.
 
         Covers the label, the ordered successor list, and -- per
-        instruction, over the arena's flat index range -- the uid and the
-        canonical text (which carries a call's clobbers).  Two blocks
-        with equal digests are interchangeable as phase-1 inputs; the
+        instruction, over the arena's flat index range -- the uid, the
+        opcode and the ordered defs, uses and clobbers.  Immediates (a
+        constant, an array or callee name, a spill slot) are left out:
+        no stage before the spill rewrite reads one, and the rewrite
+        always runs fresh on the current function.  Two blocks with
+        equal digests are interchangeable as phase-1 inputs; the
         per-tile memoization layer folds these into tile fingerprints.
 
         Raises ``RuntimeError`` on a retired arena: after the spill
@@ -379,16 +382,15 @@ class FunctionArena:
             return cached
         from hashlib import sha256
 
-        from repro.ir.printer import format_instr
-
-        block = self.fn.blocks[self.labels[bid]]
-        h = sha256()
-        h.update(block.label.encode())
-        h.update(("->" + ",".join(block.succ_labels)).encode())
-        for i in range(self.block_start[bid], self.block_start[bid + 1]):
-            instr = self.instrs[i]
-            h.update(f"\n{instr.uid}|{format_instr(instr)}".encode())
-        digest = h.hexdigest()
+        label = self.labels[bid]
+        join = ",".join
+        parts = [label, join(self.fn.blocks[label].succ_labels)]
+        append = parts.append
+        start, end = self.block_start[bid], self.block_start[bid + 1]
+        for instr in self.instrs[start:end]:
+            append(f"{instr.uid}|{instr.op._value_}|{join(instr.defs)}|"
+                   f"{join(instr.uses)}|{join(instr.clobbers)}")
+        digest = sha256("\n".join(parts).encode()).hexdigest()
         digests[bid] = digest
         return digest
 

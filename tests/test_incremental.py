@@ -3,7 +3,8 @@
 The contract under test: with a :class:`TileCacheStore` attached, a warm
 re-allocation is *bit-identical* to a cold one -- on the unedited
 function (full reuse), on an edited function (clean subtrees replayed
-from the store, dirty chain recomputed), and on functions that spill
+from the store, dirty chain recomputed; an edit that changes only a
+constant replays every tile), and on functions that spill
 (the arena snapshot a fingerprint hashes is pre-rewrite, so a tile that
 previously inserted spill code must never serve a stale entry).  The
 reuse counters are part of the contract: they are how CI proves the
@@ -31,7 +32,12 @@ from repro.core.incremental import (
     tile_invalidation_key,
 )
 from repro.core.summary import TileAllocation, TileMetrics
-from repro.determinism import build_workload, edit_one_block
+from repro.determinism import (
+    build_workload,
+    commutative_sites,
+    edit_one_block,
+    swap_operands,
+)
 from repro.ir.instructions import Opcode
 from repro.machine.target import Machine
 from repro.perf.arena import FunctionArena
@@ -56,6 +62,20 @@ def _const_sites(fn):
 def _bump(fn, site):
     label, index = site
     fn.block(label).instrs[index].imm += 1
+
+
+def _swap(fn, site):
+    label, index = site
+    instr = fn.block(label).instrs[index]
+    instr.uses = instr.uses[::-1]
+
+
+def _consts(fn, label):
+    """The immediates of block *label*'s CONST instructions, in order."""
+    return [
+        instr.imm for instr in fn.blocks[label].instrs
+        if instr.op is Opcode.CONST
+    ]
 
 
 def _swap_last_mul(fn):
@@ -230,8 +250,10 @@ class TestWarmReplay:
 
     def test_edited_reallocation_spends_under_half_the_cold_fuel(self):
         """What the memo saves, counted exactly: a replayed tile never
-        runs ``allocate_tile``, so it spends no fuel.  (Wall time is too
-        noisy to gate: two runs with equal fuel can differ by 40%.)"""
+        runs ``allocate_tile``, so it spends no fuel.  A constant bump
+        replays every tile (warm 2,624 against cold 9,464 fuel when this
+        was written).  (Wall time is too noisy to gate: two runs with
+        equal fuel can differ by 40%.)"""
         limits = BudgetLimits(max_fuel=10**15)
         base = prepare(build_workload("seq_loops_100").fn)
         edited_fn = build_workload("seq_loops_100").fn
@@ -244,6 +266,31 @@ class TestWarmReplay:
         )
         warm.allocate(base.clone(), MACHINE)
         warm.allocate(edited.clone(), MACHINE)
+        cold = HierarchicalAllocator(
+            HierarchicalConfig(), budget_limits=limits
+        )
+        cold.allocate(edited.clone(), MACHINE)
+        spent = (warm.last_budget["spent"], cold.last_budget["spent"])
+        assert spent[0] <= 0.5 * spent[1], f"warm/cold fuel {spent}"
+
+    def test_operand_edit_reallocation_spends_under_half_the_cold_fuel(self):
+        """The recompute path, counted exactly: an operand swap dirties
+        one tile and its ancestor chain, and only those run
+        ``allocate_tile`` again (warm 4,119 against cold 9,464 fuel when
+        this test was written)."""
+        limits = BudgetLimits(max_fuel=10**15)
+        base = prepare(build_workload("seq_loops_100").fn)
+        edited_fn = build_workload("seq_loops_100").fn
+        swap_operands(edited_fn)
+        edited = prepare(edited_fn)
+
+        warm = HierarchicalAllocator(
+            HierarchicalConfig(), tile_store=TileCacheStore(),
+            budget_limits=limits,
+        )
+        warm.allocate(base.clone(), MACHINE)
+        warm.allocate(edited.clone(), MACHINE)
+        assert warm.last_tile_cache["tile_misses"] >= 1
         cold = HierarchicalAllocator(
             HierarchicalConfig(), budget_limits=limits
         )
@@ -286,15 +333,10 @@ class TestSpilledTiles:
         assert outcome.stats.spilled_vars, "setup must spill"
         return fn, allocator
 
-    def test_edit_in_previously_spilled_tile(self):
-        """Regression: an edit landing in a tile whose previous
-        allocation inserted spill code must recompute that tile, never
-        serve the stale pre-edit entry."""
-        fn, probe = self._spilling_setup()
-        # Find a non-root tile that spilled real variables and a CONST in
-        # one of its own blocks to edit.
+    def _site_in_spilled_tile(self, probe, sites):
+        """The first of *sites* in the own blocks of a non-root tile whose
+        previous allocation spilled real variables, or ``None``."""
         ctx, allocations = probe.last_context, probe.last_allocations
-        site = None
         for tile in ctx.tree.postorder():
             if tile.parent is None:
                 continue
@@ -304,23 +346,45 @@ class TestSpilledTiles:
             ):
                 continue
             own = tile.own_blocks()
-            candidates = [s for s in _const_sites(fn) if s[0] in own]
+            candidates = [s for s in sites if s[0] in own]
             if candidates:
-                site = candidates[0]
-                break
-        if site is None:
-            pytest.skip("no editable spilled tile in this workload")
+                return candidates[0]
+        return None
 
-        edited = fn.clone()
-        _bump(edited, site)
+    def test_edit_in_previously_spilled_tile(self):
+        """Regression: an edit landing in a tile whose previous
+        allocation inserted spill code must recompute that tile, never
+        serve the stale pre-edit entry.  A constant bump there changes
+        no allocation input: every tile replays, and the spill code
+        around the replayed tile prints the new constant."""
+        fn, probe = self._spilling_setup()
+        swap_site = self._site_in_spilled_tile(probe, commutative_sites(fn))
+        const_site = self._site_in_spilled_tile(probe, _const_sites(fn))
+        if swap_site is None or const_site is None:
+            pytest.skip("no editable spilled tile in this workload")
 
         store = TileCacheStore()
         _allocate(fn, store, machine=SMALL_MACHINE)
+
+        edited = fn.clone()
+        _swap(edited, swap_site)
         warm, allocator = _allocate(edited, store, machine=SMALL_MACHINE)
         fresh, _ = _allocate(edited, machine=SMALL_MACHINE)
         assert _text(warm) == _text(fresh)
         assert warm.stats.spilled_vars == fresh.stats.spilled_vars
         assert allocator.last_tile_cache["tile_misses"] >= 1
+
+        bumped = fn.clone()
+        _bump(bumped, const_site)
+        warm, allocator = _allocate(bumped, store, machine=SMALL_MACHINE)
+        fresh, _ = _allocate(bumped, machine=SMALL_MACHINE)
+        assert _text(warm) == _text(fresh)
+        assert warm.stats.spilled_vars == fresh.stats.spilled_vars
+        assert allocator.last_tile_cache["tile_misses"] == 0
+        assert allocator.last_tile_cache["subtrees_reused"] == 1
+        label = const_site[0]
+        assert _consts(warm.fn, label) == _consts(bumped, label)
+        assert _consts(bumped, label) != _consts(fn, label)
 
     def test_spilling_function_unedited_replay(self):
         """Full warm replay of a spilling function: the spill rewrite
@@ -421,14 +485,17 @@ class TestBatchPlumbing:
 
     def test_module_edit_recomputes_only_the_edited_function(self):
         """One edit in a warm module: the engine cache serves every other
-        function, and the tile store serves most of the edited one."""
+        function, and the tile store serves most of the edited one.  An
+        operand swap dirties the edited tile's chain; a constant bump
+        after it replays every tile."""
         from repro.batch import BatchConfig, BatchEngine, synthetic_module
 
         workloads = synthetic_module(40)
-        # The largest function the edit applies to: the more tiles, the
+        # The largest function both edits apply to: the more tiles, the
         # smaller the share its dirty chain takes.
         victim = max(
-            (w for w in workloads if _const_sites(w.fn)),
+            (w for w in workloads
+             if commutative_sites(w.fn) and _const_sites(w.fn)),
             key=lambda w: len(w.fn.blocks),
         )
         batch = BatchConfig(batch_workers=0, tile_cache=True)
@@ -439,17 +506,30 @@ class TestBatchPlumbing:
                 return (stats.computed, stats.tile_hits, stats.tile_misses,
                         stats.subtrees_reused)
 
-            engine.allocate_module(workloads)
-            before = counters()
-            edit_one_block(victim.fn)
-            results = engine.allocate_module(workloads)
-            computed, hits, misses, subtrees = (
-                after - prior for after, prior in zip(counters(), before)
+            def reallocate_after(edit):
+                engine.allocate_module(workloads)
+                before = counters()
+                edit(victim.fn)
+                results = engine.allocate_module(workloads)
+                assert [r.name for r in results if not r.cached] == [
+                    victim.label()
+                ]
+                return tuple(
+                    after - prior for after, prior in zip(counters(), before)
+                )
+
+            computed, hits, misses, subtrees = reallocate_after(swap_operands)
+            assert computed == 1
+            assert subtrees >= 1
+            assert misses >= 1
+            assert misses <= 0.5 * (hits + misses), (hits, misses)
+
+            computed, hits, misses, subtrees = reallocate_after(
+                edit_one_block
             )
-        assert computed == 1
-        assert [r.name for r in results if not r.cached] == [victim.label()]
-        assert subtrees >= 1
-        assert misses <= 0.5 * (hits + misses), (hits, misses)
+            assert computed == 1
+            assert misses == 0
+            assert subtrees == 1
 
     def test_tile_cache_off_reports_no_counters(self):
         from repro.batch import BatchConfig, BatchEngine, synthetic_module
@@ -498,10 +578,12 @@ def test_tile_cache_hit_events():
 def test_random_edit_replay_matches_full(seed, pick):
     """For arbitrary generated programs and an arbitrary single-block
     edit: warm incremental re-allocation == fresh full allocation, and
-    the identity replay (same text again) is 100% reuse."""
+    the identity replay (same text again) is 100% reuse.  An operand
+    swap dirties its tile's chain; a constant bump replays every tile."""
     fn = prepare(random_program(seed))
-    sites = _const_sites(fn)
-    assume(sites)
+    swaps = commutative_sites(fn)
+    consts = _const_sites(fn)
+    assume(swaps and consts)
 
     store = TileCacheStore()
     cold, _ = _allocate(fn, store)
@@ -514,7 +596,7 @@ def test_random_edit_replay_matches_full(seed, pick):
 
     # Edited replay: bit-identical to a fresh allocation of the edit.
     edited = fn.clone()
-    _bump(edited, sites[pick % len(sites)])
+    _swap(edited, swaps[pick % len(swaps)])
     warm, allocator = _allocate(edited, store)
     fresh, _ = _allocate(edited)
     assert _text(warm) == _text(fresh)
@@ -525,3 +607,13 @@ def test_random_edit_replay_matches_full(seed, pick):
     assert counters["tile_misses"] >= 1
     if counters["tile_hits"]:
         assert counters["subtrees_reused"] >= 1
+
+    # A constant bump changes no allocation input: full replay, and
+    # still bit-identical to a fresh allocation.
+    bumped = fn.clone()
+    _bump(bumped, consts[pick % len(consts)])
+    warm, allocator = _allocate(bumped, store)
+    fresh, _ = _allocate(bumped)
+    assert _text(warm) == _text(fresh)
+    assert allocator.last_tile_cache["tile_misses"] == 0
+    assert allocator.last_tile_cache["subtrees_reused"] == 1

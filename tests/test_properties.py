@@ -10,7 +10,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.allocators import BriggsAllocator, ChaitinAllocator, LocalAllocator
@@ -21,18 +21,22 @@ from repro.analysis.renaming import rename_webs
 from repro.batch import BatchConfig, BatchEngine
 from repro.cli import ALLOCATORS
 from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.core.incremental import TileCacheStore
 from repro.graph.coloring import color_graph, verify_coloring
 from repro.graph.interference import InterferenceGraph
 from repro.ir.instructions import BINARY_OPS, Instr, Opcode, is_phys
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
-from repro.ir.validate import validate_function
+from repro.ir.validate import IRValidationError, validate_function
+from repro.machine.calls import lower_calls
 from repro.machine.simulator import simulate
 from repro.machine.target import Machine
-from repro.pipeline import Workload, compile_function
+from repro.pipeline import Workload, compile_function, prepare
 from repro.tiles.construction import build_tile_tree_detailed
 from repro.tiles.validate import validate_tile_tree
+from repro.workloads.callsites import make_caller
 from repro.workloads.generators import random_program, random_workload
+from repro.workloads.kernels import all_kernel_workloads
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 COMMON = settings(
@@ -352,6 +356,150 @@ def test_text_memo_never_serves_a_stale_text(edit, seed):
         _, text, fingerprint, _ = engine.entry_for(w)
     assert text == format_function(w.fn)
     assert fingerprint == hashlib.sha256(text.encode()).hexdigest()
+
+
+#: TEXT_EDITS after which ``prepare`` rejects the function every time,
+#: so there is no allocation to replay: a block whose label no longer
+#: matches its key (``block_label``, ``start_label``), a repeated
+#: successor past the terminator's arity (``succ_labels``), and a stop
+#: block with successors (``stop_label``).
+UNALLOCATABLE_EDITS = frozenset(
+    {"block_label", "start_label", "succ_labels", "stop_label"}
+)
+#: TEXT_EDITS after which ``prepare`` rejects the function some of the
+#: time: removing or replacing a branch, or unlinking a block that is
+#: the only way into another.  The property assumes a valid result.
+SOMETIMES_INVALID_EDITS = frozenset(
+    {"instr_removed", "instr_replaced", "block_removed"}
+)
+
+
+def _valid(fn):
+    try:
+        validate_function(fn)
+    except IRValidationError:
+        return False
+    return True
+
+
+def _const_imms(fn, labels):
+    """The printed immediates of the CONST instructions in *labels*."""
+    return [
+        repr(instr.imm) for label in labels
+        for instr in fn.blocks[label].instrs if instr.op is Opcode.CONST
+    ]
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in TEXT_EDITS if name not in UNALLOCATABLE_EDITS]
+)
+@given(seed=SEEDS)
+@COMMON
+def test_tile_replay_never_serves_a_stale_allocation(name, seed):
+    """A tile store filled before an in-place edit (and, for an edit
+    with a middle state, at that state) must never hand the edited
+    function a stale tile: its warm re-allocation equals a fresh one.
+    An edit of an immediate changes no allocation input, so it replays
+    every tile and prints the new immediate."""
+    w = random_workload(seed)
+    machine = Machine.simple(4)
+    store = TileCacheStore()
+
+    def warm():
+        HierarchicalAllocator(tile_store=store).allocate(
+            prepare(w.fn), machine
+        )
+
+    warm()
+    TEXT_EDITS[name](w.fn, random.Random(seed), warm)
+    assume(name not in SOMETIMES_INVALID_EDITS or _valid(w.fn))
+    edited = prepare(w.fn)
+    replay = HierarchicalAllocator(tile_store=store)
+    got = replay.allocate(edited, machine)
+    fresh = HierarchicalAllocator().allocate(edited, machine)
+    assert format_function(got.fn) == format_function(fresh.fn)
+    if name.startswith("imm_"):
+        assert replay.last_tile_cache["tile_misses"] == 0
+        assert _const_imms(got.fn, edited.blocks) == _const_imms(
+            edited, edited.blocks
+        )
+
+
+class _RecordingStore(TileCacheStore):
+    """A tile store that records every key it is asked for, in order:
+    each tile's phase-1 fingerprint in postorder, then each tile's
+    phase-2 key in preorder."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def get(self, key):
+        self.keys.append(key)
+        return super().get(key)
+
+
+def _change_imms(fn, rng):
+    """Give every immediate another value of its kind: another CONST
+    integer, other load/store array names, other callee names.  Clobbers
+    stay as they are."""
+    for block in fn:
+        for instr in block.instrs:
+            if instr.op is Opcode.CONST:
+                instr.imm += rng.randint(1, 1000)
+            elif instr.op in (Opcode.LOAD, Opcode.STORE, Opcode.CALL):
+                instr.imm += "_x"
+
+
+def _text_without_imms(fn):
+    """*fn*'s text with every CONST/LOAD/STORE/CALL immediate erased."""
+    copy = fn.clone()
+    for block in copy:
+        for instr in block.instrs:
+            if instr.op in (Opcode.CONST, Opcode.LOAD, Opcode.STORE,
+                            Opcode.CALL):
+                instr.imm = None
+    return format_function(copy)
+
+
+def _assert_blind_to_imms(fn, machine, rng):
+    """Allocating *fn* and *fn* with every immediate changed hashes the
+    same tile fingerprints (and phase-2 keys), and allocates the same
+    program up to its immediates."""
+    other = fn.clone()
+    _change_imms(other, rng)
+    runs = []
+    for subject in (fn, other):
+        store = _RecordingStore()
+        out = HierarchicalAllocator(tile_store=store).allocate(
+            prepare(subject), machine
+        )
+        runs.append((store.keys, _text_without_imms(out.fn)))
+    assert runs[0][0] == runs[1][0], "a tile fingerprint read an immediate"
+    assert runs[0][1] == runs[1][1]
+
+
+@given(seed=SEEDS, registers=st.sampled_from([4, 6]))
+@COMMON
+def test_allocation_never_reads_an_immediate(seed, registers):
+    """Tile fingerprints leave immediates out, which is sound only if
+    no allocation stage reads one: changing every immediate of a
+    program must leave each fingerprint and the allocation as they
+    were."""
+    _assert_blind_to_imms(
+        random_program(seed), Machine.simple(registers), random.Random(seed)
+    )
+
+
+@pytest.mark.parametrize("registers", [4, 6])
+def test_kernels_allocation_never_reads_an_immediate(registers):
+    """The same over the kernels and a lowered caller, whose calls carry
+    clobbers."""
+    rng = random.Random(registers)
+    for workload in all_kernel_workloads(8):
+        _assert_blind_to_imms(workload.fn, Machine.simple(registers), rng)
+    machine = Machine.with_linkage(registers, num_callee_save=1)
+    _assert_blind_to_imms(lower_calls(make_caller(2), machine), machine, rng)
 
 
 @given(seed=SEEDS)
