@@ -8,13 +8,11 @@ Three checks, all run by the CI docs job (and by ``tests/test_docs.py``):
    raising (with ``src/`` on ``sys.path``), so documented snippets
    cannot rot — the SERVICE.md blocks start a real allocation service
    on a loopback socket and drive it through the real client;
-2. every backticked ``path`` / ``path:line`` anchor in
-   ``docs/PAPER_MAP.md`` points at an existing file (and, when a line
-   number is given, at an existing line of it); an anchor written
-   ``path:line`` (``name``) must land on the definition of ``name``
-   (``def``/``class``, or an assignment for constants and fields; for a
-   dotted ``Class.attr`` the last part), allowing one decorator line
-   above it;
+2. every backticked ``path`` anchor in ``docs/PAPER_MAP.md`` points at
+   an existing file, and carries no line number; an anchor written
+   ``path`` (``name``) must name a definition in that file, found with
+   :mod:`ast`: a module-level ``def``/``class`` or assignment, or, dotted
+   (``Class.attr``), a method, nested class or class-level assignment;
 3. the pytest-style ``path::name`` anchors in PAPER_MAP resolve their
    file part the same way.
 
@@ -27,6 +25,7 @@ Run from anywhere::
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import os
 import re
@@ -43,17 +42,19 @@ EXECUTABLE_DOCS = [
 ]
 ANCHOR_DOC = os.path.join("docs", "PAPER_MAP.md")
 
-#: `path` or `path:line` inside backticks; the path must contain a slash
-#: or be a bare known-extension file.  ``::`` (pytest node ids) is left
-#: to the path part, so `tests/test_x.py::TestY` checks `tests/test_x.py`.
+#: `path` inside backticks; the path must contain a slash or be a bare
+#: known-extension file.  ``::`` (pytest node ids) is left to the path
+#: part, so `tests/test_x.py::TestY` checks `tests/test_x.py`.  A
+#: ``:line`` suffix is matched only to be reported: lines move, names
+#: stay.
 ANCHOR_RE = re.compile(
     r"`(?P<path>[A-Za-z0-9_.\-/]+\.(?:py|md|toml|yml|yaml|ir|ml|txt))"
     r"(?::(?P<line>\d+))?(?:::[A-Za-z0-9_.:]+)?`"
 )
 
-#: `path:line` (`name` -- an anchor that names the definition it targets.
+#: `path` (`name` -- an anchor that names the definition it targets.
 NAMED_ANCHOR_RE = re.compile(
-    r"`(?P<path>[A-Za-z0-9_.\-/]+\.py):(?P<line>\d+)` \(`(?P<name>[A-Za-z0-9_.]+)`"
+    r"`(?P<path>[A-Za-z0-9_.\-/]+\.py)` \(`(?P<name>[A-Za-z0-9_.]+)`"
 )
 
 
@@ -95,64 +96,64 @@ def check_executable(relpath: str) -> list:
     return errors
 
 
-def defines(source_line: str, name: str) -> bool:
-    """Whether *source_line* defines *name*: a ``def``/``class``
-    statement or an (annotated) assignment of it."""
-    name = re.escape(name.rsplit(".", 1)[-1])
-    return re.match(
-        rf"\s*(?:(?:async\s+)?def|class)\s+{name}\b|\s*{name}\s*[:=]",
-        source_line,
-    ) is not None
+def definitions(path: str) -> set:
+    """The names *path* defines: module-level ``def``/``class`` and
+    assignment targets, and, dotted, each class's methods, nested
+    classes and class-level assignments."""
+    tree = ast.parse(_read(path))
+    names = set()
 
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names.add(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                names.update(
+                    prefix + target.id for target in targets
+                    if isinstance(target, ast.Name)
+                )
 
-def check_named_anchor(path: str, line: int, name: str) -> bool:
-    """Whether line *line* of *path* is the definition of *name*, or a
-    decorator line directly above it."""
-    with io.open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not 1 <= line <= len(lines):
-        return False
-    if defines(lines[line - 1], name):
-        return True
-    return (
-        lines[line - 1].lstrip().startswith("@")
-        and line < len(lines)
-        and defines(lines[line], name)
-    )
+    visit(tree.body, "")
+    return names
 
 
 def check_anchors(relpath: str) -> list:
-    """Validate every `path[:line]` anchor in one document."""
+    """Validate every `path` and `path` (`name`) anchor in one
+    document."""
     errors = []
     found = 0
     text = _read(relpath)
+    defined = {}
     for match in NAMED_ANCHOR_RE.finditer(text):
-        path, line, name = (
-            match.group("path"), int(match.group("line")), match.group("name")
-        )
-        if os.path.isfile(os.path.join(REPO_ROOT, path)) and not (
-            check_named_anchor(path, line, name)
-        ):
+        path, name = match.group("path"), match.group("name")
+        if not os.path.isfile(os.path.join(REPO_ROOT, path)):
+            continue  # reported below
+        if path not in defined:
+            defined[path] = definitions(path)
+        if name not in defined[path]:
             errors.append(
-                f"{relpath}: anchor `{path}:{line}` does not land on the "
-                f"definition of `{name}`"
+                f"{relpath}: anchor `{path}` (`{name}`) -> {path} defines "
+                f"no `{name}`"
             )
     for match in ANCHOR_RE.finditer(text):
-        path, line = match.group("path"), match.group("line")
+        path = match.group("path")
         found += 1
-        full = os.path.join(REPO_ROOT, path)
-        if not os.path.isfile(full):
+        if match.group("line") is not None:
+            errors.append(
+                f"{relpath}: anchor `{match.group(0)}` carries a line "
+                "number; anchor by name: `path` (`name`)"
+            )
+        if not os.path.isfile(os.path.join(REPO_ROOT, path)):
             errors.append(f"{relpath}: anchor `{match.group(0)}` -> "
                           f"no such file {path}")
-            continue
-        if line is not None:
-            with io.open(full, encoding="utf-8") as fh:
-                count = sum(1 for _ in fh)
-            if int(line) > count:
-                errors.append(
-                    f"{relpath}: anchor `{match.group(0)}` -> {path} has "
-                    f"only {count} lines"
-                )
     if found == 0:
         errors.append(f"{relpath}: no path anchors found (regex drift?)")
     return errors

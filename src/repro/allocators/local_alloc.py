@@ -107,10 +107,10 @@ class LocalAllocator(Allocator):
                     def_map[var] = reg
                     dirty.add(var)
 
-                renamed = instr.clone()
-                renamed.uses = tuple(use_map[v] for v in instr.uses)
-                renamed.defs = tuple(def_map[v] for v in instr.defs)
-                new_instrs.append(renamed)
+                new_instrs.append(instr.replace(
+                    uses=tuple(use_map[v] for v in instr.uses),
+                    defs=tuple(def_map[v] for v in instr.defs),
+                ))
 
             # Terminators must stay last: flush dirty live-out values just
             # before the terminator.

@@ -49,10 +49,10 @@ class NaiveMemoryAllocator(Allocator):
                     phys_reg(i % machine.num_registers)
                     for i in range(len(instr.defs))
                 ]
-                renamed = instr.clone()
-                renamed.uses = tuple(reg_of[v] for v in instr.uses)
-                renamed.defs = tuple(def_regs)
-                new_instrs.append(renamed)
+                new_instrs.append(instr.replace(
+                    uses=tuple(reg_of[v] for v in instr.uses),
+                    defs=tuple(def_regs),
+                ))
                 for var, reg in zip(instr.defs, def_regs):
                     new_instrs.append(
                         Instr(Opcode.SPILL_ST, uses=(reg,), imm=spill_slot(var))

@@ -213,10 +213,12 @@ def rename_webs(fn: Function) -> Tuple[Function, Dict[str, str]]:
                 web_name[sid] = name
             reverse[name] = var
 
-    # Rename in place: *out* is private.
+    # Rename in *out*'s own blocks, replacing only the instructions
+    # whose names change.
     for label, block in out.blocks.items():
         cur = reach_in[label]
-        for instr in block.instrs:
+        instrs = block.instrs
+        for index, instr in enumerate(instrs):
             use_names = []
             for var in instr.uses:
                 m = cur & var_mask.get(var, 0)
@@ -232,8 +234,10 @@ def rename_webs(fn: Function) -> Tuple[Function, Dict[str, str]]:
                 sid = site_id[(uid, slot)]
                 def_names.append(web_name[sid])
                 cur = (cur & ~var_mask[var]) | (1 << sid)
-            instr.uses = tuple(use_names)
-            instr.defs = tuple(def_names)
+            uses = tuple(use_names)
+            defs = tuple(def_names)
+            if uses != instr.uses or defs != instr.defs:
+                instrs[index] = instr.replace(uses=uses, defs=defs)
 
     # Parameters keep their original name (the entry web): if a
     # parameter's entry web got renamed, keep the param list pointing at

@@ -113,10 +113,10 @@ from repro.errors import (
 from repro.ir.parser import parse_function
 from repro.ir.printer import (
     format_function,
-    freeze_stamp,
     same_stamp,
     text_stamp,
 )
+from repro.ir.validate import IRValidationError, validate_function
 from repro.machine.target import Machine
 from repro.perf.timers import StageTimers
 from repro.trace.events import (
@@ -343,6 +343,15 @@ def _task_function(task: _Task):
     return task.workload.fn
 
 
+def _validation_error(fn) -> Optional[IRValidationError]:
+    """Why *fn* is not a valid function, or ``None`` when it is."""
+    try:
+        validate_function(fn)
+    except IRValidationError as exc:
+        return exc
+    return None
+
+
 def _task_tuple(task: _Task) -> Tuple:
     workload = task.workload
     return (
@@ -421,7 +430,7 @@ class BatchEngine:
             self.tile_store = TileCacheStore(
                 capacity=self.batch.tile_cache_entries
             )
-        #: function -> (frozen text stamp, canonical text, fingerprint)
+        #: function -> (text stamp, canonical text, fingerprint)
         #: for in-memory workloads; an entry lives as long as its
         #: function (see :meth:`entry_for`).
         self._texts = weakref.WeakKeyDictionary()
@@ -543,9 +552,8 @@ class BatchEngine:
         its text comes from the engine's text memo only while the
         function's :func:`~repro.ir.printer.text_stamp` still holds the
         very objects it held when the text was printed; otherwise the
-        function is printed and stamped again (and never kept when a
-        printed value is mutable).  An entry lives as long as its
-        function object, and a new engine starts with none.
+        function is printed and stamped again.  An entry lives as long
+        as its function object, and a new engine starts with none.
         """
         name = workload.label()
         if isinstance(workload, SourceWorkload):
@@ -572,11 +580,7 @@ class BatchEngine:
             return kept[1], kept[2]
         text = format_function(fn)
         fingerprint = text_fingerprint(text)
-        frozen = freeze_stamp(stamp)
-        if frozen is None:
-            self._texts.pop(fn, None)
-        else:
-            self._texts[fn] = (frozen, text, fingerprint)
+        self._texts[fn] = (stamp, text, fingerprint)
         return text, fingerprint
 
     def pool_health(self) -> Dict[str, object]:
@@ -610,7 +614,11 @@ class BatchEngine:
 
         Failures are isolated per function according to
         ``batch.on_error`` (see :class:`~repro.core.config.BatchConfig`);
-        only strict mode (``"fail"``) lets an exception escape.
+        only strict mode (``"fail"``) lets an exception escape.  That
+        includes an in-memory function the engine cannot print: it is
+        validated only then, and fails alone with the class of what
+        ``validate_function`` rejects (or of the printing error, when
+        it validates).
         """
         tracer = self.tracer
         t0 = time.time()  # wall: trace rows only (offset from _epoch)
@@ -620,15 +628,28 @@ class BatchEngine:
         entries: List[Tuple[str, str, str, object]] = []
         results: List[Optional[BatchResult]] = [None] * len(workloads)
         miss_groups: Dict[str, List[int]] = {}
-        #: cache keys refused by admission control -> (cost, limit).
-        rejected_keys: Dict[str, Tuple[int, int]] = {}
+        #: keys that fail without reaching the allocator (admission
+        #: control, a function that cannot be printed) -> their error.
+        refused: Dict[str, TaskError] = {}
         admission_limit = self.batch.admission_limit
         for index, workload in enumerate(workloads):
             # Records carry simulated costs/returned when inputs are
             # present, so the key must distinguish inputs -- for the
             # cache lookup *and* for the miss dedup below, which assumes
             # one key == one (function, inputs) computation.
-            name, text, fingerprint, key = self.entry_for(workload)
+            try:
+                name, text, fingerprint, key = self.entry_for(workload)
+            except Exception as exc:  # noqa: BLE001 -- isolated below
+                # No text, so no fingerprint or cache key: the function
+                # fails alone, explained by validation when it is invalid.
+                name, text, fingerprint = workload.label(), "", ""
+                key = f"unprintable:{index}"
+                entries.append((name, text, fingerprint, workload))
+                refused[key] = task_error_from_exception(
+                    _validation_error(workload.fn) or exc, attempts=0
+                )
+                miss_groups[key] = [index]
+                continue
             entries.append((name, text, fingerprint, workload))
             if admission_limit is not None:
                 # Admission is decided *before* the cache is consulted,
@@ -641,7 +662,15 @@ class BatchEngine:
                 )
                 if cost > admission_limit:
                     self.stats.rejected += 1
-                    rejected_keys[key] = (cost, admission_limit)
+                    refused[key] = TaskError(
+                        error_class="admission",
+                        message=(
+                            f"estimated cost {cost} exceeds admission "
+                            f"limit {admission_limit}"
+                        ),
+                        permanence=PERMANENT,
+                        attempts=0,
+                    )
                     if tracer.enabled:
                         tracer.emit(Rejected(
                             function=name, fingerprint=fingerprint,
@@ -695,29 +724,18 @@ class BatchEngine:
             ))
         computed: Dict[str, _TaskOutcome] = {}
         if tasks:
-            # Rejected tasks never reach the allocator: they get a
-            # terminal permanent "admission" outcome directly and flow
-            # through the same degradation/merge machinery as any other
-            # permanent failure.
+            # Refused tasks never reach the allocator: they get their
+            # terminal permanent outcome directly and flow through the
+            # same degradation/merge machinery as any other permanent
+            # failure.
             run_tasks: List[_Task] = []
             for task in tasks:
-                rejection = rejected_keys.get(task.key)
-                if rejection is None:
+                error = refused.get(task.key)
+                if error is None:
                     run_tasks.append(task)
                     continue
-                cost, limit = rejection
                 computed[task.key] = _TaskOutcome(
-                    record=None,
-                    error=TaskError(
-                        error_class="admission",
-                        message=(
-                            f"estimated cost {cost} exceeds admission "
-                            f"limit {limit}"
-                        ),
-                        permanence=PERMANENT,
-                        attempts=0,
-                    ),
-                    attempts=0,
+                    record=None, error=error, attempts=0,
                 )
             if run_tasks:
                 if self._pool is None and self.batch.batch_workers > 0:

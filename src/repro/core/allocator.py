@@ -92,7 +92,11 @@ class HierarchicalAllocator(Allocator):
         )
         timers = StageTimers()
         with timers.stage("tile_tree", tracer):
-            work = fn.clone()
+            # Blocks in the text's order and ordinal uids, whatever
+            # *fn*'s dict order (a prepared function is copied without
+            # building any instruction); the tile tree adds only empty
+            # fixup blocks.
+            work = fn.canonical_copy()
             build = build_tile_tree_detailed(
                 work,
                 TileTreeOptions(
@@ -108,7 +112,6 @@ class HierarchicalAllocator(Allocator):
             # (text, config, machine) instead of process history -- the
             # property the per-tile content-addressed cache keys on.
             build.tree.renumber()
-            work.renumber_uids()
             if budget is not None:
                 # Tile-tree depth is fuel too: pathological nesting burns
                 # budget before either phase walks the tree.

@@ -32,9 +32,9 @@ Correctness rests on three invariants:
 * **Stable names.**  Tile ids and instruction uids come from
   process-global counters; ``ts:{tid}:{color}`` / ``tmp:{uid}:...``
   names would otherwise depend on process history.  The allocator
-  renumbers both on its private clone (:meth:`TileTree.renumber`,
-  :meth:`Function.renumber_uids`) before any analysis runs, making every
-  derived name a pure function of the program text.
+  renumbers both on its private copy (:meth:`TileTree.renumber`, and
+  :meth:`Function.canonical_copy`'s uids) before any analysis runs,
+  making every derived name a pure function of the program text.
 * **Copy-on-write graphs.**  :func:`copy_allocation` shares the
   pristine interference graph between the stored copy and the live
   allocation; phase 2 mutates the graph (intruders, operand temps), so a

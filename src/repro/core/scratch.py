@@ -97,9 +97,7 @@ def promote_to_scratch(
                 instr.op in (Opcode.SPILL_LD, Opcode.SPILL_ST)
                 and instr.imm in mapping
             ):
-                promoted = instr.clone()
-                promoted.imm = mapping[instr.imm]
-                new_instrs.append(promoted)
+                new_instrs.append(instr.replace(imm=mapping[instr.imm]))
             else:
                 new_instrs.append(instr)
         block.instrs = new_instrs

@@ -285,10 +285,10 @@ def _rewrite_block(
                 reg = loc[temp_node_name(instr.uid, var, "d")]
             def_map[var] = reg
             stores.append(Instr(Opcode.SPILL_ST, uses=(reg,), imm=spill_slot(var)))
-        renamed = instr.clone()
-        renamed.uses = tuple(use_map[v] for v in instr.uses)
-        renamed.defs = tuple(def_map[v] for v in instr.defs)
         new_instrs.extend(loads)
-        new_instrs.append(renamed)
+        new_instrs.append(instr.replace(
+            uses=tuple(use_map[v] for v in instr.uses),
+            defs=tuple(def_map[v] for v in instr.defs),
+        ))
         new_instrs.extend(stores)
     block.instrs = new_instrs

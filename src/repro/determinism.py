@@ -24,7 +24,7 @@ module is the proof harness:
 the same code paths, so "deterministic" means one thing everywhere.
 
 Tile ids and instruction uids come from process-global counters, but the
-allocator renumbers both on its private clone before any derived name is
+allocator renumbers both on its private copy before any derived name is
 minted (see ``HierarchicalAllocator.allocate``), so fingerprints -- and
 the per-tile cache keys the incremental mode exercises -- are pure
 functions of (text, config, machine), not of process history.
@@ -123,8 +123,8 @@ def allocation_fingerprint(
 def edit_one_block(fn: Function) -> str:
     """Apply a deterministic single-block edit to *fn* in place.
 
-    Bumps the immediate of one integer ``CONST`` instruction by 1 and
-    returns the edited block's label.  The instruction is the middle one
+    Replaces one integer ``CONST`` instruction with one whose immediate
+    is 1 higher (same uid) and returns the edited block's label.  The instruction is the middle one
     of the function's integer ``CONST`` sites, walked in the block
     dict's insertion order (not :meth:`Function.block_order`, the
     printed order), skipping the start block when another block has one.
@@ -147,7 +147,8 @@ def edit_one_block(fn: Function) -> str:
     if not sites:
         raise RuntimeError(f"{fn.name}: no CONST instruction to edit")
     label, index = sites[len(sites) // 2]
-    fn.block(label).instrs[index].imm += 1
+    instrs = fn.block(label).instrs
+    instrs[index] = instrs[index].replace(imm=instrs[index].imm + 1)
     return label
 
 
@@ -175,8 +176,9 @@ def swap_operands(fn: Function) -> str:
     """Apply a deterministic single-block edit to *fn* in place that
     changes an allocation input but keeps the program's meaning.
 
-    Swaps the two uses of one of :func:`commutative_sites` and returns
-    the edited block's label.  The instruction is picked the way
+    Replaces one of :func:`commutative_sites` with the same instruction
+    (same uid) with its two uses swapped, and returns the edited block's
+    label.  The instruction is picked the way
     :func:`edit_one_block` picks its ``CONST``: the middle site in the
     block dict's insertion order, skipping the start block when another
     block has one.  Where :func:`edit_one_block` changes only an
@@ -192,8 +194,8 @@ def swap_operands(fn: Function) -> str:
             f"{fn.name}: no commutative instruction with distinct operands"
         )
     label, index = sites[len(sites) // 2]
-    instr = fn.block(label).instrs[index]
-    instr.uses = instr.uses[::-1]
+    instrs = fn.block(label).instrs
+    instrs[index] = instrs[index].replace(uses=instrs[index].uses[::-1])
     return label
 
 

@@ -114,9 +114,6 @@ class BasicBlock:
         return f"<BasicBlock {self.label}: {len(self.instrs)} instrs -> {self.succ_labels}>"
 
     def clone(self) -> "BasicBlock":
-        """Deep-ish copy: instructions cloned (uids preserved), labels shared."""
-        return BasicBlock(
-            self.label,
-            [i.clone() for i in self.instrs],
-            list(self.succ_labels),
-        )
+        """A copy with its own instruction and successor lists; the
+        instructions themselves are shared (they are immutable)."""
+        return BasicBlock(self.label, self.instrs, self.succ_labels)

@@ -242,39 +242,37 @@ class Function:
             label for label in self.blocks if label not in reachable
         )
 
-    def renumber_uids(self) -> None:
-        """Reassign instruction uids to function-local ordinals (1-based).
-
-        Uids normally come from a process-global counter, so their absolute
-        values depend on how many instructions the process has already
-        parsed or cloned.  Operand-temporary names
-        (``tmp:{uid}:{var}:{kind}``) embed the uid, which would make
-        allocation results -- and the per-tile fingerprints of
-        :mod:`repro.core.incremental` -- a function of process history.
-        Renumbering in block dict/instruction order makes uids a pure
-        function of the program text when the dict order is one (as in
-        :meth:`canonical_copy`).  Only call on a private clone **before**
-        any uid-keyed analysis (arena, liveness memos) is built.
-        """
-        uid = 1
-        for block in self.blocks.values():
-            for instr in block.instrs:
-                instr.uid = uid
-                uid += 1
-
     def clone(self) -> "Function":
-        """Deep copy in block dict order, instruction uids preserved --
+        """Copy in block dict order, instruction uids preserved --
         neither of which the printed text carries (see
-        :meth:`canonical_copy`)."""
+        :meth:`canonical_copy`).  Blocks and their lists are new; the
+        immutable instructions are shared."""
         return self._copy(self.blocks)
 
     def canonical_copy(self) -> "Function":
-        """Deep copy that is a function of the printed text: blocks in
-        :meth:`block_order`, uids renumbered in that order.  Allocation
-        starts from it (``pipeline.prepare``), so functions that print
-        alike allocate alike."""
+        """Copy that is a function of the printed text: blocks in
+        :meth:`block_order`, uids renumbered to ordinals (1-based) in
+        that order.  Allocation starts from it (``pipeline.prepare`` and
+        ``HierarchicalAllocator.allocate``), so functions that print
+        alike allocate alike.
+
+        Uids normally come from a process-global counter, and
+        operand-temporary names (``tmp:{uid}:{var}:{kind}``) and the
+        per-tile fingerprints of :mod:`repro.core.incremental` embed
+        them; ordinals make both a function of the text, not of process
+        history.  Only an instruction whose uid changes is rebuilt (in
+        the copy); the rest are shared, so a function that is already
+        canonical (one ``prepare`` returned) is copied without building
+        any instruction.
+        """
         fn = self._copy(self.block_order())
-        fn.renumber_uids()
+        uid = 1
+        for block in fn.blocks.values():
+            instrs = block.instrs
+            for index, instr in enumerate(instrs):
+                if instr.uid != uid:
+                    instrs[index] = instr.replace(uid=uid)
+                uid += 1
         return fn
 
     def _copy(self, labels: Iterable[str]) -> "Function":

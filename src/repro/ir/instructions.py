@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import re
-from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Tuple
 
 
@@ -105,6 +105,57 @@ _UNARY_EVAL = {
 BINARY_OPS = frozenset(_BINARY_EVAL)
 UNARY_OPS = frozenset(_UNARY_EVAL)
 
+#: How many defs and uses each opcode takes (``None``: any number).
+#: ``validate_function`` checks every instruction against it and the
+#: parser every line, so no later stage indexes past an operand list.
+OPERAND_COUNTS = {
+    Opcode.CONST: (1, 0),
+    Opcode.COPY: (1, 1),
+    Opcode.MOVE: (1, 1),
+    **{op: (1, 2) for op in BINARY_OPS},
+    **{op: (1, 1) for op in UNARY_OPS},
+    Opcode.LOAD: (1, 1),
+    Opcode.STORE: (0, 2),
+    Opcode.CALL: (None, None),
+    Opcode.BR: (0, 0),
+    Opcode.CBR: (0, 1),
+    Opcode.RET: (0, None),
+    Opcode.SPILL_ST: (0, 1),
+    Opcode.SPILL_LD: (1, 0),
+    Opcode.NOP: (0, 0),
+}
+
+
+#: :data:`OPERAND_COUNTS` and :data:`TERMINATORS` keyed by the opcode's
+#: string value, for the per-instruction checks of ``validate_function``
+#: (see :data:`BINARY_EVAL_BY_VALUE` below for why).
+OPERAND_COUNTS_BY_VALUE = {op.value: n for op, n in OPERAND_COUNTS.items()}
+TERMINATOR_VALUES = frozenset(op.value for op in TERMINATORS)
+
+
+def operand_count_error(instr: "Instr") -> Optional[str]:
+    """What is wrong with *instr*'s def and use counts, or ``None`` when
+    they are those of :data:`OPERAND_COUNTS`."""
+    want_defs, want_uses = OPERAND_COUNTS_BY_VALUE[instr.op._value_]
+    if (want_defs is None or len(instr.defs) == want_defs) and (
+        want_uses is None or len(instr.uses) == want_uses
+    ):
+        return None
+    return (
+        f"{instr.op.value} has {len(instr.defs)} def(s) and "
+        f"{len(instr.uses)} use(s), not {want_defs} and {want_uses}"
+    )
+
+
+def is_const_literal(value) -> bool:
+    """What ``CONST`` takes: an int, a bool or a finite float, the
+    literals that the printer (``repr``), the parser
+    (``ast.literal_eval``) and the simulator's arithmetic all keep."""
+    kind = type(value)
+    return kind is int or kind is bool or (
+        kind is float and math.isfinite(value)
+    )
+
 #: Evaluator tables keyed by the opcode's string value: the simulator's
 #: inner loop dispatches on ``op._value_`` because str hashing is C-level
 #: while ``Enum.__hash__`` is a Python call per dynamic instruction.
@@ -116,6 +167,9 @@ _BY_MNEMONIC = {op.value: op for op in Opcode}
 _PHYS_RE = re.compile(r"^R(\d+)$")
 
 _instr_counter = itertools.count(1)
+
+#: "Keep this field" in :meth:`Instr.replace` (``None`` is an immediate).
+_KEEP = object()
 
 
 def phys_reg(index: int) -> str:
@@ -139,9 +193,39 @@ def phys_index(name: str) -> int:
     return int(m.group(1))
 
 
-@dataclass
-class Instr:
-    """A single three-address instruction.
+#: Types an immediate may have: each value keeps one printed form for
+#: life.  A flat tuple of them is accepted too.
+IMMEDIATE_TYPES = frozenset({type(None), int, float, bool, str})
+
+
+def is_immediate(imm) -> bool:
+    """True when *imm* is one of :data:`IMMEDIATE_TYPES` or a flat
+    tuple of them: what :class:`Instr` accepts."""
+    if type(imm) in IMMEDIATE_TYPES:
+        return True
+    return type(imm) is tuple and all(type(v) in IMMEDIATE_TYPES for v in imm)
+
+
+def _mutable_immediate(imm) -> TypeError:
+    return TypeError(
+        f"immediate {imm!r} is not a None/int/float/bool/str or a "
+        "tuple of these"
+    )
+
+
+class _Fields:
+    """An instruction's storage, filled by :meth:`Instr.__new__` before
+    the object becomes an :class:`Instr` (whose own writes raise)."""
+
+    __slots__ = ("op", "defs", "uses", "imm", "clobbers", "uid")
+
+
+class Instr(_Fields):
+    """A single three-address instruction, immutable once built: a pass
+    that changes one builds a replacement (:meth:`replace`) and stores
+    it in the block, so functions can share instructions, and an
+    instruction that is the same object prints the same text
+    (:func:`repro.ir.printer.text_stamp` relies on that).
 
     Attributes:
         op: the :class:`Opcode`.
@@ -149,23 +233,51 @@ class Instr:
         uses: variables used (read) by this instruction, in operand order.
         imm: opcode-specific payload -- the literal for ``CONST``, the array
             name for ``LOAD``/``STORE``, the callee name for ``CALL``, the
-            spill-slot key for ``SPILL_LD``/``SPILL_ST``.
+            spill-slot key for ``SPILL_LD``/``SPILL_ST``.  One of
+            :data:`IMMEDIATE_TYPES` or a flat tuple of them; anything
+            else raises ``TypeError``.
         clobbers: physical registers destroyed as a side effect (calls).
-        uid: unique id, stable across copies made with :meth:`clone`, used
-            to key per-instruction analysis results.
+        uid: unique id, kept by :meth:`replace`, used to key
+            per-instruction analysis results.
     """
 
-    op: Opcode
-    defs: Tuple[str, ...] = ()
-    uses: Tuple[str, ...] = ()
-    imm: Any = None
-    clobbers: Tuple[str, ...] = ()
-    uid: int = field(default_factory=lambda: next(_instr_counter))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.defs = tuple(self.defs)
-        self.uses = tuple(self.uses)
-        self.clobbers = tuple(self.clobbers)
+    def __new__(
+        cls,
+        op: Opcode,
+        defs: Tuple[str, ...] = (),
+        uses: Tuple[str, ...] = (),
+        imm: Any = None,
+        clobbers: Tuple[str, ...] = (),
+        uid: Optional[int] = None,
+    ) -> "Instr":
+        if type(imm) not in IMMEDIATE_TYPES and not is_immediate(imm):
+            raise _mutable_immediate(imm)
+        # Filled as a plain slotted object, then retyped: this costs
+        # about what the old mutable dataclass did, where assigning
+        # through ``object.__setattr__`` costs twice that.
+        self = _Fields()
+        self.op = op
+        self.defs = defs if type(defs) is tuple else tuple(defs)
+        self.uses = uses if type(uses) is tuple else tuple(uses)
+        self.imm = imm
+        self.clobbers = clobbers if type(clobbers) is tuple else tuple(clobbers)
+        self.uid = next(_instr_counter) if uid is None else uid
+        self.__class__ = cls
+        return self
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(
+            f"Instr is immutable: build a replacement with "
+            f"Instr.replace({name}=...)"
+        )
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (Instr, (self.op, self.defs, self.uses, self.imm,
+                        self.clobbers, self.uid))
 
     @property
     def is_terminator(self) -> bool:
@@ -188,43 +300,44 @@ class Instr:
         """All variables referenced (defs then uses)."""
         return self.defs + self.uses
 
+    def replace(self, *, op=_KEEP, defs=_KEEP, uses=_KEEP, imm=_KEEP,
+                clobbers=_KEEP, uid=_KEEP) -> "Instr":
+        """A new instruction with the given fields replaced and the
+        others, the uid included, kept."""
+        # Filled like ``__new__`` does, checking only what changes: the
+        # web renaming, uid renumbering and spill rewrite replace
+        # instructions one by one.
+        new = _Fields()
+        new.op = self.op if op is _KEEP else op
+        new.defs = self.defs if defs is _KEEP else tuple(defs)
+        new.uses = self.uses if uses is _KEEP else tuple(uses)
+        if imm is _KEEP:
+            new.imm = self.imm
+        elif is_immediate(imm):
+            new.imm = imm
+        else:
+            raise _mutable_immediate(imm)
+        new.clobbers = self.clobbers if clobbers is _KEEP else tuple(clobbers)
+        new.uid = self.uid if uid is _KEEP else uid
+        new.__class__ = Instr
+        return new
+
     def rewrite(self, mapping) -> "Instr":
-        """Return a copy with defs/uses substituted through *mapping*.
+        """A new instruction with defs/uses substituted through *mapping*.
 
         *mapping* is any callable ``old_name -> new_name``; names absent
         from the mapping should be returned unchanged by the callable.
         The ``uid`` is preserved so analysis keyed on uids stays valid.
         """
-        # Same direct-assignment construction as :meth:`clone` -- the
-        # substituted defs/uses are built as tuples right here.
-        new = Instr.__new__(Instr)
-        new.op = self.op
-        new.defs = tuple(mapping(d) for d in self.defs)
-        new.uses = tuple(mapping(u) for u in self.uses)
-        new.imm = self.imm
-        new.clobbers = self.clobbers
-        new.uid = self.uid
-        return new
-
-    def clone(self) -> "Instr":
-        """Structural copy preserving the uid."""
-        # Direct attribute assignment: the source's fields are already
-        # normalized tuples (``__post_init__`` ran when it was built), so
-        # the dataclass ``__init__``/``__post_init__`` round would only
-        # re-tuple tuples -- and clones are made per instruction in the
-        # spill-rewrite and web-renaming loops.
-        new = Instr.__new__(Instr)
-        new.op = self.op
-        new.defs = self.defs
-        new.uses = self.uses
-        new.imm = self.imm
-        new.clobbers = self.clobbers
-        new.uid = self.uid
-        return new
+        return Instr(
+            self.op, tuple(map(mapping, self.defs)),
+            tuple(map(mapping, self.uses)), self.imm, self.clobbers,
+            self.uid,
+        )
 
     def fresh_clone(self) -> "Instr":
         """Structural copy with a brand-new uid."""
-        return replace(self, uid=next(_instr_counter))
+        return self.replace(uid=next(_instr_counter))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.ir.printer import format_instr

@@ -33,7 +33,9 @@ from repro.ir.instructions import (
     Instr,
     Opcode,
     UNARY_OPS,
-    opcode_from_mnemonic,
+    is_const_literal,
+    is_immediate,
+    operand_count_error,
 )
 
 _FUNC_RE = re.compile(
@@ -83,19 +85,46 @@ def _call(m: re.Match, dsts: List[str]) -> Instr:
     )
 
 
+def _literal(text: str):
+    """``ast.literal_eval(text)``, or :class:`IRParseError` when *text*
+    is not a literal or its value is not an immediate."""
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, SyntaxError, MemoryError, RecursionError):
+        raise IRParseError(f"{text!r} is not a literal") from None
+    if not is_immediate(value):
+        raise IRParseError(f"{text!r} is not an immutable literal")
+    return value
+
+
+def _const(text: str):
+    value = _literal(text)
+    if not is_const_literal(value):
+        raise IRParseError(
+            f"const takes an int, bool or finite float, not {text!r}"
+        )
+    return value
+
+
+def _slot(text: str):
+    """A spill-slot key: the literal *text* spells, else *text*."""
+    try:
+        return _literal(text)
+    except IRParseError:
+        return text
+
+
 def _parse_rhs(dsts: List[str], rhs: str) -> Instr:
     rhs = rhs.strip()
     parts = rhs.split(None, 1)
-    if parts:
-        op = _SIMPLE_RHS_OPS.get(parts[0])
-        if op is not None:
-            rest = parts[1] if len(parts) > 1 else ""
-            if op is Opcode.CONST:
-                return Instr(op, defs=tuple(dsts), imm=ast.literal_eval(rest))
-            operands = _split_names(rest)
-            if op in (Opcode.COPY, Opcode.MOVE):
-                return Instr(op, defs=tuple(dsts), uses=(operands[0],))
-            return Instr(op, defs=tuple(dsts), uses=tuple(operands))
+    if not parts:
+        raise IRParseError(f"empty right-hand side in {rhs!r}")
+    op = _SIMPLE_RHS_OPS.get(parts[0])
+    if op is not None:
+        rest = parts[1] if len(parts) > 1 else ""
+        if op is Opcode.CONST:
+            return Instr(op, defs=tuple(dsts), imm=_const(rest))
+        return Instr(op, defs=tuple(dsts), uses=tuple(_split_names(rest)))
     m = _LOAD_RE.match(rhs)
     if m:
         return Instr(Opcode.LOAD, defs=tuple(dsts), uses=(m.group(2),), imm=m.group(1))
@@ -104,20 +133,7 @@ def _parse_rhs(dsts: List[str], rhs: str) -> Instr:
         return _call(m, dsts)
     m = _SPILL_LD_RE.match(rhs)
     if m:
-        return Instr(Opcode.SPILL_LD, defs=tuple(dsts), imm=ast.literal_eval(m.group(1)) if m.group(1)[:1] in "'\"([0123456789-" else m.group(1))
-    parts = rhs.split(None, 1)
-    if not parts:
-        raise IRParseError(f"empty right-hand side in {rhs!r}")
-    mnemonic = parts[0]
-    rest = parts[1] if len(parts) > 1 else ""
-    op = opcode_from_mnemonic(mnemonic)
-    if op is Opcode.CONST:
-        return Instr(op, defs=tuple(dsts), imm=ast.literal_eval(rest))
-    operands = _split_names(rest)
-    if op in (Opcode.COPY, Opcode.MOVE):
-        return Instr(op, defs=tuple(dsts), uses=(operands[0],))
-    if op in BINARY_OPS or op in UNARY_OPS:
-        return Instr(op, defs=tuple(dsts), uses=tuple(operands))
+        return Instr(Opcode.SPILL_LD, defs=tuple(dsts), imm=_slot(m.group(1)))
     raise IRParseError(f"cannot parse rhs {rhs!r}")
 
 
@@ -131,12 +147,7 @@ def _parse_instr(line: str) -> Instr:
         return Instr(Opcode.STORE, uses=(m.group(2), m.group(3)), imm=m.group(1))
     m = _SPILL_ST_RE.match(line)
     if m:
-        slot = m.group(1)
-        try:
-            slot = ast.literal_eval(slot)
-        except (ValueError, SyntaxError):
-            pass
-        return Instr(Opcode.SPILL_ST, uses=(m.group(2),), imm=slot)
+        return Instr(Opcode.SPILL_ST, uses=(m.group(2),), imm=_slot(m.group(1)))
     m = _CALL_RE.match(line)
     if m:
         return _call(m, [])
@@ -145,42 +156,59 @@ def _parse_instr(line: str) -> Instr:
     if line == "nop":
         return Instr(Opcode.NOP)
     if line.startswith("cbr"):
-        cond = line[3:].strip()
-        return Instr(Opcode.CBR, uses=(cond,))
-    if line == "ret":
-        return Instr(Opcode.RET)
+        return Instr(Opcode.CBR, uses=tuple(_split_names(line[3:])))
     if line.startswith("ret"):
         return Instr(Opcode.RET, uses=tuple(_split_names(line[3:])))
     raise IRParseError(f"cannot parse instruction {line!r}")
 
 
+def _parse_line(fn: Function, current: Optional[BasicBlock], line: str):
+    """Add one body line to *fn*; returns the block now being filled."""
+    lm = _LABEL_RE.match(line)
+    if lm:
+        label = lm.group(1)
+        if label in fn.blocks:
+            raise IRParseError(f"duplicate block label {label!r}")
+        return fn.add_block(BasicBlock(label))
+    sm = _SUCC_RE.match(line)
+    if sm:
+        if current is None:
+            raise IRParseError("successor list before any block")
+        current.succ_labels = _split_names(sm.group(1))
+        return current
+    if current is None:
+        raise IRParseError(f"instruction outside block: {line!r}")
+    instr = _parse_instr(line)
+    problem = operand_count_error(instr)
+    if problem is not None:
+        raise IRParseError(f"{problem}: {line!r}")
+    current.instrs.append(instr)
+    return current
+
+
 def parse_function(text: str) -> Function:
-    """Parse a single function from *text*."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse a single function from *text*.  A malformed line raises
+    :class:`IRParseError` with its line number."""
+    lines = [
+        (number, ln.strip())
+        for number, ln in enumerate(text.splitlines(), 1)
+    ]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise IRParseError("empty input")
-    m = _FUNC_RE.match(lines[0])
+    number, header = lines[0]
+    m = _FUNC_RE.match(header)
     if not m:
-        raise IRParseError(f"bad function header {lines[0]!r}")
+        raise IRParseError(f"line {number}: bad function header {header!r}")
     name, params_text, start_label, stop_label = m.groups()
     fn = Function(name, _split_names(params_text), start_label, stop_label)
 
     current: Optional[BasicBlock] = None
-    for line in lines[1:]:
-        lm = _LABEL_RE.match(line)
-        if lm:
-            current = fn.add_block(BasicBlock(lm.group(1)))
-            continue
-        sm = _SUCC_RE.match(line)
-        if sm:
-            if current is None:
-                raise IRParseError("successor list before any block")
-            current.succ_labels = _split_names(sm.group(1))
-            continue
-        if current is None:
-            raise IRParseError(f"instruction outside block: {line!r}")
-        current.instrs.append(_parse_instr(line))
+    for number, line in lines[1:]:
+        try:
+            current = _parse_line(fn, current, line)
+        except IRParseError as exc:
+            raise IRParseError(f"line {number}: {exc}") from None
 
     if fn.start_label not in fn.blocks or fn.stop_label not in fn.blocks:
         raise IRParseError("missing start or stop block")

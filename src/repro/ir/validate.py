@@ -8,7 +8,14 @@ by :mod:`repro.machine.rewrite` (physical-register-only, pressure bounds).
 from __future__ import annotations
 
 from repro.ir.function import Function
-from repro.ir.instructions import Opcode, is_phys
+from repro.ir.instructions import (
+    OPERAND_COUNTS_BY_VALUE,
+    TERMINATOR_VALUES,
+    Opcode,
+    is_const_literal,
+    is_phys,
+    operand_count_error,
+)
 
 
 class IRValidationError(ValueError):
@@ -22,7 +29,11 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
 
     * start and stop blocks exist; start has no predecessors; stop has no
       successors (unique entry/exit, paper section 2);
-    * every successor label resolves to a block;
+    * every successor label resolves to a block (checked before any CFG
+      map is built);
+    * every instruction has its opcode's def and use counts
+      (:data:`~repro.ir.instructions.OPERAND_COUNTS`), and a ``CONST``
+      holds an int, bool or finite float;
     * terminator arity matches successor count (CBR has exactly two
       successors, RET none or an edge to stop, others at most one);
     * non-terminator instructions do not appear after a terminator;
@@ -35,6 +46,13 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
     if fn.stop_label not in fn.blocks:
         raise IRValidationError(f"missing stop block {fn.stop_label!r}")
 
+    # Labels first: every CFG map below indexes blocks by successor.
+    for block in fn:
+        for succ in block.succ_labels:
+            if succ not in fn.blocks:
+                raise IRValidationError(
+                    f"block {block.label} branches to unknown label {succ!r}"
+                )
     preds = fn.predecessors_map()
     if preds[fn.start_label]:
         raise IRValidationError(
@@ -43,19 +61,30 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
     if fn.blocks[fn.stop_label].succ_labels:
         raise IRValidationError("stop block has successors")
 
+    # Keyed by the opcode's string value, and the checks inline: this
+    # loop runs per instruction on every prepare and allocated program.
+    counts = OPERAND_COUNTS_BY_VALUE
+    terminators = TERMINATOR_VALUES
     for block in fn:
-        for succ in block.succ_labels:
-            if succ not in fn.blocks:
-                raise IRValidationError(
-                    f"block {block.label} branches to unknown label {succ!r}"
-                )
         term = block.terminator
         for instr in block.instrs[:-1]:
-            if instr.is_terminator:
+            if instr.op._value_ in terminators:
                 raise IRValidationError(
                     f"terminator {instr.op} not last in block {block.label}"
                 )
         for instr in block.instrs:
+            want_defs, want_uses = counts[instr.op._value_]
+            if (want_defs is not None and len(instr.defs) != want_defs) or (
+                want_uses is not None and len(instr.uses) != want_uses
+            ):
+                raise IRValidationError(
+                    f"block {block.label}: {operand_count_error(instr)}"
+                )
+            if instr.op is Opcode.CONST and not is_const_literal(instr.imm):
+                raise IRValidationError(
+                    f"block {block.label}: const takes an int, bool or "
+                    f"finite float, not {instr.imm!r}"
+                )
             if not instr.clobbers:
                 continue
             if instr.op is not Opcode.CALL:

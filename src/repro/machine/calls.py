@@ -66,13 +66,11 @@ def lower_calls(fn: Function, machine: Machine) -> Function:
             ret_regs = [phys_reg(machine.ret_regs[i]) for i in range(len(instr.defs))]
             for reg, var in zip(arg_regs, instr.uses):
                 new_instrs.append(Instr(Opcode.COPY, defs=(reg,), uses=(var,)))
-            lowered = instr.clone()
-            lowered.uses = tuple(arg_regs)
-            lowered.defs = tuple(ret_regs)
-            lowered.clobbers = tuple(
-                r for r in caller_save if r not in ret_regs
-            )
-            new_instrs.append(lowered)
+            new_instrs.append(instr.replace(
+                uses=tuple(arg_regs),
+                defs=tuple(ret_regs),
+                clobbers=tuple(r for r in caller_save if r not in ret_regs),
+            ))
             for var, reg in zip(instr.defs, ret_regs):
                 new_instrs.append(Instr(Opcode.COPY, defs=(var,), uses=(reg,)))
         block.instrs = new_instrs
@@ -110,7 +108,6 @@ def with_callee_save(fn: Function, machine: Machine) -> Function:
             Instr(Opcode.COPY, defs=(reg,), uses=(pseudo,))
             for pseudo, reg in zip(pseudos, regs)
         ]
-        ret = term.clone()
-        ret.uses = tuple(term.uses) + tuple(regs)
+        ret = term.replace(uses=term.uses + tuple(regs))
         block.instrs = block.instrs[:-1] + restores + [ret]
     return out

@@ -109,10 +109,10 @@ def rewrite_spilled(
 
 
 def _def_then_use_rewrite(instr: Instr, def_map, use_map) -> Instr:
-    renamed = instr.clone()
-    renamed.uses = tuple(use_map.get(v, v) for v in instr.uses)
-    renamed.defs = tuple(def_map.get(v, v) for v in instr.defs)
-    return renamed
+    return instr.replace(
+        uses=tuple(use_map.get(v, v) for v in instr.uses),
+        defs=tuple(def_map.get(v, v) for v in instr.defs),
+    )
 
 
 def apply_assignment(

@@ -116,8 +116,9 @@ def copy_propagate(fn: Function) -> Tuple[Function, bool]:
         new_instrs: List[Instr] = []
         for instr in block.instrs:
             if any(u in available for u in instr.uses):
-                instr = instr.clone()
-                instr.uses = tuple(available.get(u, u) for u in instr.uses)
+                instr = instr.replace(
+                    uses=tuple(available.get(u, u) for u in instr.uses)
+                )
                 changed = True
             for var in instr.defs:
                 available.pop(var, None)

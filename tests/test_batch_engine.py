@@ -24,7 +24,7 @@ from repro.batch.serialize import record_to_dict
 from repro.cli import main as cli_main
 from repro.core import HierarchicalAllocator
 from repro.determinism import edit_one_block
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import Instr, Opcode
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, allocate_module, compile_function
@@ -334,20 +334,44 @@ class TestTextMemo:
             assert len(engine._texts) == 0
 
     def test_mutable_printed_value_formats_every_call(self, monkeypatch):
+        """A printed value cannot change in place -- it cannot become a
+        list, and no field can be written -- so it changes only by a
+        replacement, and every call after one formats the function
+        again and prints the new value."""
         workload = small_module(1)[0]
-        const = next(
-            instr for block in workload.fn for instr in block.instrs
+        block, index = next(
+            (block, index) for block in workload.fn
+            for index, instr in enumerate(block.instrs)
             if instr.op is Opcode.CONST
         )
-        const.imm = [1]
+        with pytest.raises(TypeError):
+            block.instrs[index].replace(imm=[1])
         calls = count_formats(monkeypatch)
         with BatchEngine(batch=BatchConfig()) as engine:
             engine.entry_for(workload)
-            const.imm.append(2)
-            _, text, _, _ = engine.entry_for(workload)
-            assert len(engine._texts) == 0
-        assert calls == {workload.fn.name: 2}
-        assert "const [1, 2]" in text
+            with pytest.raises(AttributeError):
+                block.instrs[index].imm = [1, 2]
+            for imm in (1, 12):
+                block.instrs[index] = block.instrs[index].replace(imm=imm)
+                _, text, _, _ = engine.entry_for(workload)
+                assert f"const {imm}\n" in text
+            assert len(engine._texts) == 1
+        assert calls == {workload.fn.name: 3}
+
+    def test_mutable_immediate_cannot_be_built(self):
+        """The memo's stamp holds one reference per instruction, which
+        is sound only if no printed value can change in place: no
+        instruction can hold a mutable immediate, whether built or
+        replaced into one."""
+        const = next(
+            instr for block in small_module(1)[0].fn
+            for instr in block.instrs if instr.op is Opcode.CONST
+        )
+        for imm in ([1], {1: 2}, {1}, bytearray(b"1"), (1, [2])):
+            with pytest.raises(TypeError):
+                Instr(Opcode.CONST, defs=const.defs, imm=imm)
+            with pytest.raises(TypeError):
+                const.replace(imm=imm)
 
     def test_source_workloads_bypass_the_memo(self, monkeypatch):
         module = [

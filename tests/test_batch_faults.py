@@ -220,6 +220,47 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # inline path: retries, exhaustion, on_error policies
 # ----------------------------------------------------------------------
+def _unprintable_module():
+    """A valid function between two that cannot be printed: a dangling
+    successor (``rpo`` would raise ``KeyError``) and an ``add`` with one
+    operand (``format_instr`` would raise ``IndexError``)."""
+    from repro.ir.instructions import Instr, Opcode
+    from repro.ir.parser import parse_function
+
+    dangling = synthetic_module(1, seed=3)[0]
+    dangling.fn.blocks[dangling.fn.start_label].succ_labels = ["nowhere"]
+    dangling.fn.invalidate_caches()
+    one_operand = synthetic_module(1, seed=4)[0]
+    one_operand.fn = parse_function(
+        "func f(a) start=s stop=t\ns:\n  ret a\n  -> t\nt:\n"
+    )
+    one_operand.fn.blocks["s"].instrs.insert(
+        0, Instr(Opcode.ADD, defs=("x",), uses=("a",))
+    )
+    return [dangling, synthetic_module(1, seed=5)[0], one_operand]
+
+
+class TestUnprintableFunction:
+    @pytest.mark.parametrize("on_error", ["degrade", "skip"])
+    def test_fails_alone_as_validate(self, on_error):
+        module = allocate_module(
+            _unprintable_module(), batch=BatchConfig(on_error=on_error)
+        )
+        assert [r.record is None for r in module] == [True, False, True]
+        for result in (module[0], module[2]):
+            assert result.error.error_class == "validate"
+            assert result.error.permanent
+            assert not result.degraded
+        assert module.stats.failures == 2
+
+    def test_strict_mode_raises_the_classified_failure(self):
+        with pytest.raises(BatchFunctionError) as info:
+            allocate_module(
+                _unprintable_module(), batch=BatchConfig(on_error="fail")
+            )
+        assert info.value.error.error_class == "validate"
+
+
 class TestInlineFaults:
     def test_transient_failure_retries_to_identical_result(
         self, monkeypatch

@@ -66,22 +66,16 @@ def _check_docs_module():
 
 
 def test_named_anchor_must_land_on_the_definition():
-    check = _check_docs_module().check_named_anchor
-    path = "src/repro/perf/arena.py"
-    with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    line = next(
-        i + 1 for i, text in enumerate(lines)
-        if text.startswith("def build_arena(")
-    )
-    assert check(path, line, "build_arena")
-    assert not check(path, line + 1, "build_arena")
-    assert not check(path, line, "FunctionArena")
-    assert not check(path, len(lines) + 1, "build_arena")
+    defined = _check_docs_module().definitions("src/repro/perf/arena.py")
+    assert "build_arena" in defined
+    assert "FunctionArena" in defined
+    assert "FunctionArena.block_digest" in defined
+    assert "block_digest" not in defined  # a method is named dotted
+    assert "no_such_definition" not in defined
 
 
 def test_named_anchor_allows_one_decorator_line():
-    check = _check_docs_module().check_named_anchor
+    """A decorated definition resolves by name like any other."""
     path = "src/repro/perf/arena.py"
     with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -90,5 +84,4 @@ def test_named_anchor_allows_one_decorator_line():
         if text.strip() == "def retired(self) -> bool:"
     )
     assert lines[line - 2].strip() == "@property"
-    assert check(path, line - 1, "retired")
-    assert check(path, line, "FunctionArena.retired")
+    assert "FunctionArena.retired" in _check_docs_module().definitions(path)

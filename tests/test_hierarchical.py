@@ -43,6 +43,49 @@ class TestCorrectness:
                     assert is_phys(var)
 
 
+class TestCanonicalStart:
+    def test_block_dict_order_does_not_reach_direct_allocation(self):
+        """Called directly, without ``prepare``, the allocator still
+        starts from the printed block order and uids: one function built
+        in two block-dict orders allocates to the same text, under the
+        same tile keys (the second allocation replays every tile)."""
+        from repro.core.incremental import TileCacheStore
+        from repro.ir.printer import format_function
+        from repro.pipeline import prepare
+
+        for workload in all_kernel_workloads(8):
+            fn = prepare(workload.fn)
+            reordered = fn.clone()
+            reordered.blocks = dict(reversed(list(reordered.blocks.items())))
+            reordered.invalidate_caches()
+            store = TileCacheStore()
+            texts = []
+            for subject in (fn, reordered):
+                allocator = HierarchicalAllocator(tile_store=store)
+                out = allocator.allocate(subject, Machine.simple(4))
+                texts.append(format_function(out.fn))
+            assert texts[0] == texts[1], workload.label()
+            assert allocator.last_tile_cache["tile_misses"] == 0
+
+    def test_prepared_input_copies_no_instruction(self):
+        """A prepared function is already canonical: its canonical copy
+        shares every instruction."""
+        from repro.pipeline import prepare
+
+        for workload in all_kernel_workloads(8):
+            fn = prepare(workload.fn)
+            copy = fn.canonical_copy()
+            assert [i for b in copy for i in b.instrs] == [
+                i for b in fn for i in b.instrs
+            ]
+            assert all(
+                a is b for a, b in zip(
+                    (i for b in copy for i in b.instrs),
+                    (i for b in fn for i in b.instrs),
+                )
+            )
+
+
 class TestFigure1:
     """The paper's worked example (experiment E1)."""
 

@@ -61,13 +61,14 @@ def _const_sites(fn):
 
 def _bump(fn, site):
     label, index = site
-    fn.block(label).instrs[index].imm += 1
+    instrs = fn.block(label).instrs
+    instrs[index] = instrs[index].replace(imm=instrs[index].imm + 1)
 
 
 def _swap(fn, site):
     label, index = site
-    instr = fn.block(label).instrs[index]
-    instr.uses = instr.uses[::-1]
+    instrs = fn.block(label).instrs
+    instrs[index] = instrs[index].replace(uses=instrs[index].uses[::-1])
 
 
 def _consts(fn, label):
@@ -89,7 +90,8 @@ def _swap_last_mul(fn):
         if instr.op is Opcode.MUL
     ]
     label, index = sites[-1]
-    fn.block(label).instrs[index].op = Opcode.ADD
+    instrs = fn.block(label).instrs
+    instrs[index] = instrs[index].replace(op=Opcode.ADD)
     return label
 
 

@@ -49,8 +49,41 @@ class TestInstrBasics:
         assert a.uid != b.uid
 
     def test_clone_preserves_uid(self):
+        """A cloned block shares its (immutable) instructions, uids and
+        all."""
+        from repro.ir.basic_block import BasicBlock
+
         a = Instr(Opcode.ADD, defs=("d",), uses=("a", "b"))
-        assert a.clone().uid == a.uid
+        assert BasicBlock("b", [a]).clone().instrs[0] is a
+
+    def test_replace_preserves_uid(self):
+        a = Instr(Opcode.ADD, defs=("d",), uses=("a", "b"))
+        b = a.replace(uses=("b", "a"))
+        assert (b.op, b.defs, b.uses, b.uid) == (a.op, a.defs, ("b", "a"), a.uid)
+        assert a.uses == ("a", "b")
+
+    def test_fields_cannot_be_written(self):
+        a = Instr(Opcode.CALL, defs=("d",), uses=("a",), imm="f",
+                  clobbers=("R1",))
+        for name in ("op", "defs", "uses", "imm", "clobbers", "uid"):
+            before = getattr(a, name)
+            with pytest.raises(AttributeError):
+                setattr(a, name, before)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+            assert getattr(a, name) is before
+        with pytest.raises(AttributeError):
+            a.extra = 1
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+
+        a = Instr(Opcode.SPILL_LD, defs=("d",), imm="slot:d")
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert (b.op, b.defs, b.uses, b.imm, b.clobbers, b.uid) == (
+                a.op, a.defs, a.uses, a.imm, a.clobbers, a.uid
+            )
 
     def test_fresh_clone_changes_uid(self):
         a = Instr(Opcode.ADD, defs=("d",), uses=("a", "b"))

@@ -121,6 +121,47 @@ class TestClobberValidation:
             validate_function(fn)
 
 
+class TestStructuralValidation:
+    def _fn(self):
+        return parse_function(
+            "func f(x) start=a stop=b\na:\n  y = neg x\n  ret y\n  -> b\nb:\n"
+        )
+
+    def test_dangling_successor_is_a_validation_error(self):
+        fn = self._fn()
+        fn.blocks["a"].succ_labels = ["nowhere"]
+        fn.invalidate_caches()
+        with pytest.raises(IRValidationError, match="unknown label 'nowhere'"):
+            validate_function(fn)
+
+    @pytest.mark.parametrize(
+        "instr",
+        [
+            Instr(Opcode.ADD, defs=("y",), uses=("x",)),
+            Instr(Opcode.COPY, defs=("y",)),
+            Instr(Opcode.NEG, defs=("y", "z"), uses=("x",)),
+            Instr(Opcode.STORE, uses=("x",), imm="A"),
+            Instr(Opcode.SPILL_LD, defs=("y",), uses=("x",), imm="s"),
+        ],
+        ids=["add_one_use", "copy_no_use", "neg_two_defs", "store_one_use",
+             "spillld_with_use"],
+    )
+    def test_operand_counts_checked(self, instr):
+        fn = self._fn()
+        fn.blocks["a"].instrs.insert(0, instr)
+        with pytest.raises(IRValidationError, match="def\\(s\\) and"):
+            validate_function(fn)
+
+    @pytest.mark.parametrize("imm", ["s", None, (1, 2), float("inf")])
+    def test_const_must_be_a_const_literal(self, imm):
+        fn = self._fn()
+        fn.blocks["a"].instrs.insert(
+            0, Instr(Opcode.CONST, defs=("y",), imm=imm)
+        )
+        with pytest.raises(IRValidationError, match="const takes"):
+            validate_function(fn)
+
+
 class TestParserErrors:
     def test_empty_input(self):
         with pytest.raises(IRParseError):
@@ -144,6 +185,50 @@ class TestParserErrors:
         text = "func f() start=a stop=b\na:\n  x = warp y\n  -> b\nb:\n"
         with pytest.raises(ValueError):
             parse_function(text)
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            ("a:\n  ret\n  -> b\na:\n  -> b\nb:\n", 5),  # duplicate label
+            ("a:\n  x = warp y\n  -> b\nb:\n", 3),  # unknown mnemonic
+            ("a:\n  x = const [1,\n  -> b\nb:\n", 3),  # not a literal
+            ("a:\n  x = copy\n  -> b\nb:\n", 3),  # no operand
+            ("a:\n  x = add y\n  -> b\nb:\n", 3),  # one operand
+            ("a:\n  x, y = neg z\n  -> b\nb:\n", 3),  # two defs
+            ("a:\n  cbr\n  -> b, b\nb:\n", 3),  # no condition
+            ("a:\n  x = load A\n  -> b\nb:\n", 3),  # no index
+        ],
+        ids=["duplicate_label", "unknown_mnemonic", "bad_literal",
+             "copy_no_operand", "add_one_operand", "neg_two_defs",
+             "cbr_no_condition", "load_no_index"],
+    )
+    def test_malformed_line_is_a_parse_error_with_its_line(self, body, line):
+        with pytest.raises(IRParseError, match=f"^line {line}: "):
+            parse_function("func f(y, z) start=a stop=b\n" + body)
+
+    @pytest.mark.parametrize(
+        "literal", ["[1, 2]", "{1: 2}", "'s'", "None", "(1, 2)", "1j",
+                    "1e999", "-1e999", "b'x'"],
+    )
+    def test_const_rejects_what_does_not_round_trip(self, literal):
+        """``const`` takes the literals the printer, parser and
+        simulator all keep; the rest fail at parse time."""
+        text = f"func f() start=a stop=b\na:\n  x = const {literal}\n  ret x\n  -> b\nb:\n"
+        with pytest.raises(IRParseError, match="^line 3: "):
+            parse_function(text)
+
+    @pytest.mark.parametrize("value", [3, -7, True, False, 0.5, -0.0])
+    def test_const_literals_round_trip(self, value):
+        fn = parse_function(
+            f"func f() start=a stop=b\na:\n  x = const {value!r}\n"
+            "  ret x\n  -> b\nb:\n"
+        )
+        imm = fn.blocks["a"].instrs[0].imm
+        assert type(imm) is type(value) and repr(imm) == repr(value)
+        assert simulate(fn, args={}).returned == (value,)
+        assert format_function(parse_function(format_function(fn))) == (
+            format_function(fn)
+        )
 
     def test_comments_ignored(self):
         text = (

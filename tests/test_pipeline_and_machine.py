@@ -126,9 +126,9 @@ class TestPipeline:
                 for block in outcome.fn.blocks.values():
                     for idx, instr in enumerate(block.instrs):
                         if instr.op is Opcode.MUL:
-                            broken = instr.clone()
-                            broken.uses = (instr.uses[0], instr.uses[0])
-                            block.instrs[idx] = broken
+                            block.instrs[idx] = instr.replace(
+                                uses=(instr.uses[0], instr.uses[0])
+                            )
                             return outcome
                 return outcome
 

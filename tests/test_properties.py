@@ -7,7 +7,9 @@ respects the machine.
 """
 
 import hashlib
+import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -22,16 +24,19 @@ from repro.batch import BatchConfig, BatchEngine
 from repro.cli import ALLOCATORS
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.incremental import TileCacheStore
+from repro.errors import classify_exception
 from repro.graph.coloring import color_graph, verify_coloring
 from repro.graph.interference import InterferenceGraph
 from repro.ir.instructions import BINARY_OPS, Instr, Opcode, is_phys
-from repro.ir.parser import parse_function
+from repro.ir.parser import IRParseError, parse_function
 from repro.ir.printer import format_function
 from repro.ir.validate import IRValidationError, validate_function
 from repro.machine.calls import lower_calls
 from repro.machine.simulator import simulate
 from repro.machine.target import Machine
 from repro.pipeline import Workload, compile_function, prepare
+from repro.service.config import ServiceConfig
+from repro.service.server import AllocationService, ServiceError
 from repro.tiles.construction import build_tile_tree_detailed
 from repro.tiles.validate import validate_tile_tree
 from repro.workloads.callsites import make_caller
@@ -155,11 +160,11 @@ def _shuffle_blocks(fn, rng):
 
 
 def _permute_uids(fn, rng):
-    instrs = [instr for block in fn for instr in block.instrs]
-    uids = [instr.uid for instr in instrs]
+    uids = [instr.uid for block in fn for instr in block.instrs]
     rng.shuffle(uids)
-    for instr, uid in zip(instrs, uids):
-        instr.uid = uid
+    uids = iter(uids)
+    for block in fn:
+        block.instrs = [instr.replace(uid=next(uids)) for instr in block.instrs]
 
 
 @pytest.mark.parametrize(
@@ -190,48 +195,60 @@ def _pick_instr(fn, rng, wanted=lambda instr: True):
     return rng.choice(sites)
 
 
+def _replace(block, index, **fields):
+    """Replace one instruction by a copy with *fields* changed."""
+    block.instrs[index] = block.instrs[index].replace(**fields)
+
+
 def _reassign_clobbers(fn, rng, warm):
     """Generated programs make no calls: plant one, warm, then edit it."""
     block, index = _pick_instr(fn, rng)
     call = Instr(Opcode.CALL, uses=("t_a",), imm="f", clobbers=("R1",))
     block.instrs.insert(index, call)
     warm()
-    call.clobbers = ("R1", "R2")
+    _replace(block, index, clobbers=("R1", "R2"))
 
 
 def _imm(before, after):
     """Set a CONST's immediate to *before*, warm, then to *after*."""
     def edit(fn, rng, warm):
         block, index = _pick_instr(fn, rng, lambda i: i.op is Opcode.CONST)
-        block.instrs[index].imm = before
+        _replace(block, index, imm=before)
         warm()
-        block.instrs[index].imm = after
+        _replace(block, index, imm=after)
     return edit
 
 
 def _bump_imm(fn, rng, warm):
     block, index = _pick_instr(fn, rng, lambda i: i.op is Opcode.CONST)
-    block.instrs[index].imm += 1
+    _replace(block, index, imm=block.instrs[index].imm + 1)
 
 
 def _mutable_imm(fn, rng, warm):
+    """A CONST's immediate can neither become a list nor grow in place:
+    each attempt raises and leaves the function as it was, so the value
+    changes only by a replacement."""
     block, index = _pick_instr(fn, rng, lambda i: i.op is Opcode.CONST)
-    block.instrs[index].imm = [1]
+    with pytest.raises(TypeError):
+        _replace(block, index, imm=[1])
+    _replace(block, index, imm=1)
     warm()
-    block.instrs[index].imm.append(2)
+    with pytest.raises(AttributeError):
+        block.instrs[index].imm = [1, 2]
+    _replace(block, index, imm=12)
 
 
 def _swap_op(fn, rng, warm):
     block, index = _pick_instr(fn, rng, lambda i: i.op in BINARY_OPS)
-    instr = block.instrs[index]
-    instr.op = Opcode.SUB if instr.op is Opcode.ADD else Opcode.ADD
+    op = block.instrs[index].op
+    _replace(block, index, op=Opcode.SUB if op is Opcode.ADD else Opcode.ADD)
 
 
 def _reassign(field):
     def edit(fn, rng, warm):
         block, index = _pick_instr(fn, rng, lambda i: getattr(i, field))
-        instr = block.instrs[index]
-        setattr(instr, field, tuple(f"{v}_e" for v in getattr(instr, field)))
+        names = getattr(block.instrs[index], field)
+        _replace(block, index, **{field: tuple(f"{v}_e" for v in names)})
     return edit
 
 
@@ -444,21 +461,21 @@ def _change_imms(fn, rng):
     integer, other load/store array names, other callee names.  Clobbers
     stay as they are."""
     for block in fn:
-        for instr in block.instrs:
+        for index, instr in enumerate(block.instrs):
             if instr.op is Opcode.CONST:
-                instr.imm += rng.randint(1, 1000)
+                _replace(block, index, imm=instr.imm + rng.randint(1, 1000))
             elif instr.op in (Opcode.LOAD, Opcode.STORE, Opcode.CALL):
-                instr.imm += "_x"
+                _replace(block, index, imm=instr.imm + "_x")
 
 
 def _text_without_imms(fn):
     """*fn*'s text with every CONST/LOAD/STORE/CALL immediate erased."""
     copy = fn.clone()
     for block in copy:
-        for instr in block.instrs:
+        for index, instr in enumerate(block.instrs):
             if instr.op in (Opcode.CONST, Opcode.LOAD, Opcode.STORE,
                             Opcode.CALL):
-                instr.imm = None
+                _replace(block, index, imm=None)
     return format_function(copy)
 
 
@@ -587,3 +604,102 @@ def test_minilang_fuzz_optimizer_agrees(seed):
     a = simulate(w.fn, args=w.args, arrays=w.arrays)
     b = simulate(optimized, args=dict(w.args), arrays=w.arrays)
     assert a.returned == b.returned
+
+
+#: One-line mutations of a printed function: delete, duplicate, swap or
+#: truncate a line, replace a token, or rewrite a successor list.
+MUTATIONS = ("delete", "duplicate", "swap", "truncate", "token", "successors")
+
+#: Tokens a mutation may put in place of a word, besides the text's own:
+#: names, mnemonics and literals valid somewhere, and some valid nowhere.
+_TOKENS = (
+    "nowhere", "add", "copy", "const", "cbr", "ret", "br", "load", "call",
+    "spillld", "R1", "x", "", "True", "0.5", "1e999", "[1, 2]", "'s'",
+    "(1, [2])",
+)
+_WORD = re.compile(r"([\w.$%]+)")
+
+
+def _mutate(text, kind, rng):
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "truncate":
+        lines[i] = lines[i][:rng.randrange(len(lines[i]) + 1)]
+    elif kind == "token":
+        parts = _WORD.split(lines[i])
+        if len(parts) > 1:
+            parts[rng.randrange(1, len(parts), 2)] = rng.choice(
+                _TOKENS + tuple(_WORD.findall(text))
+            )
+        lines[i] = "".join(parts)
+    else:
+        labels = re.findall(r"^([\w.$%]+):$", text, re.M) + ["nowhere"]
+        arrows = [k for k, line in enumerate(lines) if line.startswith("  ->")]
+        if arrows:
+            lines[rng.choice(arrows)] = "  -> " + ", ".join(
+                rng.choice(labels) for _ in range(rng.randrange(4))
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _direct_class(text):
+    """The class parse -> prepare -> allocate -> print ends in."""
+    try:
+        out = HierarchicalAllocator().allocate(
+            prepare(parse_function(text)), Machine.simple(4)
+        )
+        format_function(out.fn)
+    except Exception as exc:  # noqa: BLE001 -- classified, as the service does
+        return classify_exception(exc)[0]
+    return "ok"
+
+
+def _service_classes(text):
+    """The classes of the service's per-function parse errors."""
+    service = AllocationService(
+        ServiceConfig(batch=BatchConfig(batch_workers=0))
+    )
+    body = json.dumps({"functions": [{"text": text}]}).encode()
+    try:
+        service._parse_allocate_body(body)
+    except ServiceError as exc:
+        return [error["error_class"] for error in exc.detail["errors"]]
+    return []
+
+
+@given(
+    seed=SEEDS,
+    subject=st.integers(0, 15),
+    kind=st.sampled_from(MUTATIONS),
+)
+@COMMON
+def test_mutated_text_never_fails_internally(seed, subject, kind):
+    """Malformed input ends as a classified error, never ``internal``
+    (the class of a genuine bug): a one-line mutation of a kernel's or a
+    random program's text, through the direct path, the service's
+    parser, and -- as an in-memory function next to a valid one --
+    ``allocate_module``, which still allocates the valid one."""
+    kernels = all_kernel_workloads(8)
+    valid = kernels[0]
+    fn = kernels[subject].fn if subject < len(kernels) else random_program(seed)
+    text = _mutate(format_function(fn), kind, random.Random(seed))
+    assert _direct_class(text) != "internal"
+    assert "internal" not in _service_classes(text)
+    try:
+        mutated = parse_function(text)
+    except IRParseError:
+        return
+    with BatchEngine(batch=BatchConfig(simulate=False)) as engine:
+        results = engine.allocate_module(
+            [Workload(mutated, {}, {}), valid]
+        ).results
+    assert results[1].ok
+    error = results[0].error
+    assert error is None or error.error_class != "internal", error
