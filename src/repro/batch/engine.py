@@ -43,7 +43,12 @@ allocation itself is bit-deterministic across hash seeds and processes
 this engine via its ``--batch`` mode), so cached and freshly-computed
 records are interchangeable bit-for-bit.
 
-Fault tolerance (see :mod:`repro.errors` for the taxonomy):
+Fault tolerance (see :mod:`repro.errors` for the taxonomy).  Every try
+of a miss -- inline, in a pool worker, or a ladder rung -- is one
+:func:`~repro.batch.worker.attempt`, which returns a record or a
+classified :class:`~repro.errors.TaskError`; the engine builds a
+``TaskError`` itself only for a try that timed out or lost its worker,
+and settles every primary try in one method (``_settle``):
 
 * **Error isolation** -- one function failing never kills the module: it
   becomes a :class:`BatchResult` with ``record=None`` and a structured
@@ -83,7 +88,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.cache import AllocationCache
-from repro.batch.faultinject import active_plan
 from repro.batch.serialize import (
     AllocationRecord,
     UncacheableConfigError,
@@ -95,19 +99,20 @@ from repro.batch.serialize import (
 )
 from repro.batch.worker import (
     DEGRADATION_LADDER,
-    compute_record,
+    AttemptSettings,
+    attempt,
     run_task,
     worker_init,
 )
 from repro.core import HierarchicalConfig
-from repro.core.budget import BudgetExceededError, BudgetLimits, estimate_cost
+from repro.core.budget import BudgetLimits, estimate_cost
 from repro.core.config import BatchConfig
+from repro.core.incremental import TileCacheStore
 from repro.errors import (
     PERMANENT,
     TRANSIENT,
     BatchFunctionError,
     TaskError,
-    classify_exception,
     task_error_from_exception,
 )
 from repro.ir.parser import parse_function
@@ -194,7 +199,6 @@ class BatchStats:
     #: in-memory functions keyed from the text memo, without printing.
     keys_reused: int = 0
     wall_s: float = 0.0
-    stage_times: Dict[str, float] = field(default_factory=dict)
 
     @property
     def functions_per_sec(self) -> float:
@@ -334,15 +338,6 @@ def _src_path() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _task_function(task: _Task):
-    """The function an inline miss allocates: a :class:`SourceWorkload`
-    parses its text, any other workload hands over its own function
-    (``prepare`` canonicalizes it, so the record is the same)."""
-    if isinstance(task.workload, SourceWorkload):
-        return parse_function(task.text)
-    return task.workload.fn
-
-
 def _validation_error(fn) -> Optional[IRValidationError]:
     """Why *fn* is not a valid function, or ``None`` when it is."""
     try:
@@ -383,18 +378,6 @@ class BatchEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = BatchStats()
         self.timers = StageTimers()
-        #: per-allocation resource governor built from the batch knobs;
-        #: ``None`` when both limits are off, preserving the allocator's
-        #: zero-cost unbudgeted fast path.
-        self._budget_limits: Optional[BudgetLimits] = None
-        if (
-            self.batch.max_fuel is not None
-            or self.batch.deadline_s is not None
-        ):
-            self._budget_limits = BudgetLimits(
-                max_fuel=self.batch.max_fuel,
-                deadline_s=self.batch.deadline_s,
-            )
         #: Failures swallowed while tearing down the pool, newest last.
         #: Teardown must never raise (close() runs on the error path and
         #: from __exit__), but the failures are not silent either -- each
@@ -419,17 +402,25 @@ class BatchEngine:
             # the cache disabled rather than risk stale hits.
             self.cache = None
             self._invalidation = ""
-        #: coordinator-side per-tile memoization store, used by inline
-        #: tasks; pool workers hold their own (see ``worker_init``).
-        #: Disabled alongside the result cache for uncacheable configs:
+        #: what every try reads (see :func:`~repro.batch.worker.attempt`);
+        #: each pool worker gets a copy with its own tile store.  The
+        #: budget limits are ``None`` when both are off, preserving the
+        #: allocator's zero-cost unbudgeted fast path, and the tile store
+        #: is off alongside the result cache for uncacheable configs:
         #: tile fingerprints reuse the same invalidation key.
-        self.tile_store = None
-        if self.batch.tile_cache and self._invalidation:
-            from repro.core.incremental import TileCacheStore
-
-            self.tile_store = TileCacheStore(
-                capacity=self.batch.tile_cache_entries
-            )
+        budgeted = (
+            self.batch.max_fuel is not None
+            or self.batch.deadline_s is not None
+        )
+        self._settings = AttemptSettings(
+            self.config, self.machine, self.batch.simulate,
+            budget_limits=BudgetLimits(
+                max_fuel=self.batch.max_fuel,
+                deadline_s=self.batch.deadline_s,
+            ) if budgeted else None,
+            tile_store=TileCacheStore()
+            if self.batch.tile_cache and self._invalidation else None,
+        )
         #: function -> (text stamp, canonical text, fingerprint)
         #: for in-memory workloads; an entry lives as long as its
         #: function (see :meth:`entry_for`).
@@ -465,16 +456,7 @@ class BatchEngine:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.batch.batch_workers,
                 initializer=worker_init,
-                initargs=(
-                    _src_path(),
-                    hash_seed,
-                    self.config,
-                    self.machine,
-                    self.batch.simulate,
-                    self.tile_store is not None,
-                    self.batch.tile_cache_entries,
-                    self._budget_limits,
-                ),
+                initargs=(_src_path(), hash_seed, self._settings),
             )
 
     def close(self) -> None:
@@ -825,39 +807,62 @@ class BatchEngine:
             self.stats.disk_hits = self.cache.stats.disk_hits
             self.stats.quarantined = self.cache.stats.quarantined
         self.stats.wall_s += wall
-        self.stats.stage_times = self.timers.as_dict()
         return ModuleAllocation(results=done, stats=self.stats)
 
     # ------------------------------------------------------------------
     # fault-handling compute paths
     # ------------------------------------------------------------------
-    def _handle_failure(
+    def _attempt(self, task: _Task, allocator: str = "hierarchical"):
+        """One in-process try of *task*: :func:`~repro.batch.worker.attempt`
+        on the workload's own function, or its parsed text for a
+        :class:`SourceWorkload` (``prepare`` canonicalizes either way, so
+        the record is the one a pool worker computes from the text)."""
+        workload = task.workload
+        if isinstance(workload, SourceWorkload):
+            def load():
+                return parse_function(task.text)
+        else:
+            def load():
+                return workload.fn
+        return attempt(
+            self._settings, task.name, load,
+            fingerprint=task.fingerprint,
+            args=workload.args, arrays=workload.arrays,
+            index=task.index, tries=task.attempt, allocator=allocator,
+        )
+
+    def _settle(
         self,
         task: _Task,
-        error_class: str,
-        permanence: str,
-        message: str,
+        record: Optional[AllocationRecord],
+        error: Optional[TaskError],
+        timing: Dict[str, object],
         outcomes: Dict[str, _TaskOutcome],
-        retry_queue: List[_Task],
-        timing: Optional[Dict[str, object]] = None,
-        budget_detail: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Route one failed attempt: bounded deterministic retry for
-        transient failures, terminal :class:`_TaskOutcome` otherwise."""
+    ) -> bool:
+        """Settle one try of *task*, wherever it ran.
+
+        A record or a final failure becomes the task's outcome.  A
+        transient failure with retries left is backed off and returns
+        ``True``: the caller tries the task again, at ``task.attempt``
+        plus one."""
+        if record is not None:
+            outcomes[task.key] = _TaskOutcome(
+                record=record, timing=timing, attempts=task.attempt + 1,
+            )
+            self.timers.merge(timing.get("stage_times", {}))
+            self._merge_tile_counters(timing.get("tile_cache"))
+            return False
         if self.tracer.enabled:
-            self.tracer.emit(TaskFailed(
-                function=task.name, fingerprint=task.fingerprint,
-                error_class=error_class, permanence=permanence,
-                attempt=task.attempt, message=message,
-            ))
-            if budget_detail:
+            self._emit_failed(task, error, error.message)
+            budget = timing.get("budget")
+            if budget:
                 self.tracer.emit(BudgetExceeded(
                     function=task.name, fingerprint=task.fingerprint,
-                    resource=str(budget_detail.get("resource", "fuel")),
-                    spent=float(budget_detail.get("spent", 0.0)),
-                    limit=float(budget_detail.get("limit", 0.0)),
+                    resource=str(budget["resource"]),
+                    spent=float(budget["spent"]),
+                    limit=float(budget["limit"]),
                 ))
-        if permanence == TRANSIENT and task.attempt < self.batch.max_retries:
+        if error.transient and task.attempt < self.batch.max_retries:
             backoff = self.batch.retry_backoff_s * (2 ** task.attempt)
             self.stats.retries += 1
             if self.tracer.enabled:
@@ -868,17 +873,19 @@ class BatchEngine:
             if backoff > 0:
                 time.sleep(backoff)
             task.attempt += 1
-            retry_queue.append(task)
-            return
+            return True
         outcomes[task.key] = _TaskOutcome(
-            record=None,
-            timing=timing or {},
-            error=TaskError(
-                error_class=error_class, message=message,
-                permanence=permanence, attempts=task.attempt + 1,
-            ),
+            record=None, timing=timing, error=error,
             attempts=task.attempt + 1,
         )
+        return False
+
+    def _emit_failed(self, task: _Task, error: TaskError, message: str):
+        self.tracer.emit(TaskFailed(
+            function=task.name, fingerprint=task.fingerprint,
+            error_class=error.error_class, permanence=error.permanence,
+            attempt=task.attempt, message=message,
+        ))
 
     def _run_pooled(
         self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
@@ -886,10 +893,11 @@ class BatchEngine:
         """Fan tasks out over the pool, surviving worker loss.
 
         Futures are collected in submission order (never completion
-        order).  A ``BrokenProcessPool`` or per-task timeout marks the
-        round for a pool restart; only still-unfinished tasks are
-        resubmitted, so the cache/merge semantics downstream see exactly
-        one terminal outcome per key regardless of faults.
+        order).  A ``BrokenProcessPool`` or per-task timeout fails the
+        try transiently and marks the round for a pool restart; only
+        still-unfinished tasks are resubmitted, so the cache/merge
+        semantics downstream see exactly one terminal outcome per key
+        regardless of faults.
         """
         pending = list(tasks)
         while pending:
@@ -910,8 +918,9 @@ class BatchEngine:
             retry_queue: List[_Task] = []
             restart_needed = False
             for task, future in submitted:
+                timing: Dict[str, object] = {}
                 try:
-                    _, payload, timing = future.result(
+                    record, error, timing = future.result(
                         timeout=self.batch.task_timeout_s
                     )
                 except FuturesTimeout:
@@ -919,35 +928,22 @@ class BatchEngine:
                     # restarting the pool.
                     future.cancel()
                     restart_needed = True
-                    self._handle_failure(
-                        task, "timeout", TRANSIENT,
+                    record, error = None, TaskError(
+                        "timeout",
                         f"task exceeded {self.batch.task_timeout_s}s",
-                        outcomes, retry_queue,
+                        TRANSIENT, attempts=task.attempt + 1,
                     )
                 except BrokenExecutor as exc:
                     restart_needed = True
-                    self._handle_failure(
-                        task, "pool", TRANSIENT,
-                        str(exc) or "worker process died",
-                        outcomes, retry_queue,
+                    record, error = None, TaskError(
+                        "pool", str(exc) or "worker process died",
+                        TRANSIENT, attempts=task.attempt + 1,
                     )
                 else:
-                    if payload.get("ok"):
-                        outcomes[task.key] = _TaskOutcome(
-                            record=record_from_dict(payload["record"]),
-                            timing=timing, attempts=task.attempt + 1,
-                        )
-                        self.timers.merge(timing.get("stage_times", {}))
-                        self._merge_tile_counters(timing.get("tile_cache"))
-                    else:
-                        self._handle_failure(
-                            task,
-                            str(payload.get("error_class", "internal")),
-                            str(payload.get("permanence", PERMANENT)),
-                            str(payload.get("message", "")),
-                            outcomes, retry_queue, timing=timing,
-                            budget_detail=payload.get("budget"),
-                        )
+                    if record is not None:
+                        record = record_from_dict(record)
+                if self._settle(task, record, error, timing, outcomes):
+                    retry_queue.append(task)
             if restart_needed:
                 self._restart_pool(resubmitted=len(retry_queue))
             pending = retry_queue
@@ -959,63 +955,9 @@ class BatchEngine:
         pooled path (timeouts cannot preempt an inline task and are
         ignored; injected kill/hang faults downgrade to transient
         raises -- see :mod:`repro.batch.faultinject`)."""
-        plan = active_plan()
         for task in tasks:
-            while True:
-                start = time.time()  # wall: trace timestamp only
-                start_mono = time.monotonic()
-                try:
-                    plan.maybe_fail_task(
-                        task.index, task.attempt, in_worker=False
-                    )
-                    # The same record a pool worker computes from the
-                    # text: prepare allocates the canonical copy.
-                    record, stage_times, tile_cache = compute_record(
-                        task.name, _task_function(task), self.config,
-                        self.machine,
-                        args=task.workload.args,
-                        arrays=task.workload.arrays,
-                        simulate=self.batch.simulate,
-                        fingerprint=task.fingerprint,
-                        tile_store=self.tile_store,
-                        budget_limits=self._budget_limits,
-                    )
-                except Exception as exc:
-                    error_class, permanence = classify_exception(exc)
-                    detail = None
-                    if isinstance(exc, BudgetExceededError):
-                        detail = {
-                            "resource": exc.resource,
-                            "spent": exc.spent,
-                            "limit": exc.limit,
-                        }
-                    retry_queue: List[_Task] = []
-                    self._handle_failure(
-                        task, error_class, permanence, str(exc),
-                        outcomes, retry_queue,
-                        timing={
-                            "start": start,
-                            "duration": time.monotonic() - start_mono,
-                            "pid": os.getpid(),
-                        },
-                        budget_detail=detail,
-                    )
-                    if retry_queue:
-                        continue
-                    break
-                else:
-                    outcomes[task.key] = _TaskOutcome(
-                        record=record,
-                        timing={
-                            "start": start,
-                            "duration": time.monotonic() - start_mono,
-                            "pid": os.getpid(),
-                        },
-                        attempts=task.attempt + 1,
-                    )
-                    self.timers.merge(stage_times)
-                    self._merge_tile_counters(tile_cache)
-                    break
+            while self._settle(task, *self._attempt(task), outcomes):
+                pass
 
     def _apply_degradation(
         self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
@@ -1035,43 +977,21 @@ class BatchEngine:
             if outcome.record is not None or outcome.error is None:
                 continue
             for rung in DEGRADATION_LADDER:
-                start = time.time()  # wall: trace timestamp only
-                start_mono = time.monotonic()
-                try:
-                    record, _, _ = compute_record(
-                        task.name, _task_function(task), self.config,
-                        self.machine,
-                        args=task.workload.args,
-                        arrays=task.workload.arrays,
-                        simulate=self.batch.simulate,
-                        fingerprint=task.fingerprint,
-                        allocator=rung,
-                    )
-                except Exception as exc:
+                record, error, timing = self._attempt(task, allocator=rung)
+                if record is None:
                     # A rung may legitimately fail (chaitin can still run
-                    # out of colors); the ladder moves on to the next one.
-                    # But the failure is surfaced, not swallowed: it is
-                    # classified into the taxonomy and emitted as a
-                    # TaskFailed trace row tagged with the rung.
-                    error_class, permanence = classify_exception(exc)
+                    # out of colors); the ladder moves on to the next
+                    # one, but the failure is surfaced as a TaskFailed
+                    # trace row tagged with the rung.
                     if self.tracer.enabled:
-                        self.tracer.emit(TaskFailed(
-                            function=task.name,
-                            fingerprint=task.fingerprint,
-                            error_class=error_class,
-                            permanence=permanence,
-                            attempt=task.attempt,
-                            message=f"fallback {rung!r}: {exc}",
-                        ))
+                        self._emit_failed(
+                            task, error, f"fallback {rung!r}: {error.message}"
+                        )
                     continue
                 outcome.record = record
                 outcome.degraded = True
                 outcome.fallback_allocator = rung
-                outcome.timing = {
-                    "start": start,
-                    "duration": time.monotonic() - start_mono,
-                    "pid": os.getpid(),
-                }
+                outcome.timing = timing
                 if self.tracer.enabled:
                     self.tracer.emit(Degraded(
                         function=task.name, fingerprint=task.fingerprint,

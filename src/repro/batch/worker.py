@@ -1,28 +1,28 @@
-"""Process-pool worker for the batch engine.
+"""One try of one batch miss, and the process-pool worker that runs it.
 
-Everything here is top-level and picklable.  A worker is initialized once
-per process with the allocator/machine configuration
-(:func:`worker_init`), then receives
-``(index, name, fingerprint, text, args, arrays, attempt)`` tasks and
-returns ``(index, payload_dict, timing_dict)`` -- the function travels as
-its canonical IR text (lossless round-trip through
+:func:`attempt` is the single implementation of "try one miss once": the
+fault-plan hook (hierarchical tries only), load the function, then
+:func:`compute_record`.  It classifies any exception once, where its
+type is still known (:func:`repro.errors.task_error_from_exception`),
+into a :class:`~repro.errors.TaskError`, and returns ``(record, error,
+timing)`` with exactly one of ``record`` and ``error`` set.  The engine
+calls it inline when running without a pool and for degradation-ladder
+rungs (``allocator="chaitin"`` / ``"naive"``); a pool worker calls it
+through :func:`run_task`.
+
+A pool worker is initialized once per process with the engine's
+:class:`AttemptSettings` (:func:`worker_init`), then receives
+``(index, name, fingerprint, text, args, arrays, attempt)`` tasks -- the
+function travels as its canonical IR text (lossless round-trip through
 ``format_function``/``parse_function``, call clobbers included), never
 as a pickled object graph, so the wire format is as stable as the cache
-format.
-
-Failures travel the same way: a worker never lets an exception escape
-``run_task``.  Exceptions would have to be *pickled* back across the
-process boundary -- which silently breaks for exception types with
-non-trivial constructors (``NoColorForRequiredNode`` takes a ``node``
-argument) -- so the payload is either ``{"ok": True, "record": ...}`` or
-``{"ok": False, "error_class": ..., "permanence": ..., "message": ...}``
-with the classification done where the exception type is still known
-(:func:`repro.errors.classify_exception`).
+format.  A failure crosses back as its :class:`~repro.errors.TaskError`,
+plain data: an exception would have to be pickled, which silently breaks
+for exception types with non-trivial constructors
+(``NoColorForRequiredNode`` takes a ``node`` argument).
 
 :func:`compute_record` is the single implementation of "allocate one
-function and condense the result into an :class:`AllocationRecord`"; the
-engine calls it inline when running without a pool and for
-degradation-ladder fallbacks (``allocator="chaitin"`` / ``"naive"``), so
+function and condense the result into an :class:`AllocationRecord`", so
 pooled, inline and cached results are constructed identically
 (bit-identical, per the determinism gate).  A record is a pure function
 of its cache key: attaching a tile store changes how the allocation is
@@ -35,8 +35,10 @@ import hashlib
 import os
 import sys
 import time
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from repro.batch.faultinject import active_plan
 from repro.batch.serialize import (
     FORMAT_VERSION,
     AllocationRecord,
@@ -45,7 +47,10 @@ from repro.batch.serialize import (
     record_to_dict,
 )
 from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.core.budget import BudgetExceededError, BudgetLimits
+from repro.core.incremental import TileCacheStore
 from repro.core.summary import is_summary_var, is_temp_node
+from repro.errors import TaskError, task_error_from_exception
 from repro.ir.function import Function
 from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
@@ -107,27 +112,25 @@ def compute_record(
     produce no per-tile bindings; everything else in the record is
     constructed identically).  *tile_store* is a
     :class:`repro.core.incremental.TileCacheStore` for incremental
-    re-allocation; only the hierarchical allocator uses it, and it
-    changes only the third return value -- the record is equal with or
-    without one.
-    *budget_limits* is a :class:`repro.core.budget.BudgetLimits` resource
-    governor, likewise hierarchical-only -- degradation-ladder rungs run
-    unbudgeted so a fuel-exhausted function can still complete there.
+    re-allocation and *budget_limits* a
+    :class:`repro.core.budget.BudgetLimits` resource governor; only the
+    hierarchical allocator uses either, so degradation-ladder rungs run
+    unbudgeted and a fuel-exhausted function can still complete there.
+    A tile store changes only the third return value -- the record is
+    equal with or without one.
     """
     from repro.pipeline import Workload, compile_function, prepare
 
     fingerprint = fingerprint or function_fingerprint(fn)
     args = dict(args or {})
     arrays = {k: list(v) for k, v in (arrays or {}).items()}
-    run_simulation = simulate and bool(args or arrays)
+    alloc = _make_allocator(allocator, config, tile_store, budget_limits)
 
     costs: Optional[Dict[str, int]] = None
     returned: Optional[int] = None
-    if run_simulation:
+    if simulate and (args or arrays):
         result = compile_function(
-            Workload(fn, args, arrays, name=name),
-            _make_allocator(allocator, config, tile_store, budget_limits),
-            machine,
+            Workload(fn, args, arrays, name=name), alloc, machine
         )
         outcome = result.outcome
         costs = {
@@ -137,23 +140,16 @@ def compute_record(
             "program_refs": result.allocated_run.program_memory_refs,
         }
         returned = normalize_returned(result.allocated_run.returned)
-        allocations = outcome.stats.extra.get("allocations")
-        ctx = outcome.stats.extra.get("context")
     else:
         from repro.ir.validate import validate_function
         from repro.machine.rewrite import remove_self_moves
 
-        prepared = prepare(fn)
-        alloc = _make_allocator(allocator, config, tile_store, budget_limits)
-        outcome = alloc.allocate(prepared, machine)
+        outcome = alloc.allocate(prepare(fn), machine)
         remove_self_moves(outcome.fn)
         validate_function(outcome.fn, allow_unreachable=True)
-        allocations = getattr(alloc, "last_allocations", None)
-        ctx = getattr(alloc, "last_context", None)
 
+    extra = outcome.stats.extra
     text = format_function(outcome.fn)
-    stage_times = dict(outcome.stats.extra.get("stage_times", {}))
-    tile_cache = outcome.stats.extra.get("tile_cache")
     record = AllocationRecord(
         version=FORMAT_VERSION,
         function=name,
@@ -162,7 +158,9 @@ def compute_record(
         allocated_sha256=hashlib.sha256(text.encode()).hexdigest(),
         allocated_text=text,
         spilled=tuple(sorted(outcome.stats.spilled_vars)),
-        bindings=_final_bindings(ctx, allocations),
+        bindings=_final_bindings(
+            extra.get("context"), extra.get("allocations")
+        ),
         static_costs={
             "spill_loads": outcome.stats.static_spill_loads,
             "spill_stores": outcome.stats.static_spill_stores,
@@ -172,7 +170,9 @@ def compute_record(
         returned=returned,
         allocator=allocator,
     )
-    return record, stage_times, tile_cache
+    return (
+        record, dict(extra.get("stage_times", {})), extra.get("tile_cache")
+    )
 
 
 def _final_bindings(ctx, allocations) -> Tuple[Tuple[str, str], ...]:
@@ -196,116 +196,118 @@ def _final_bindings(ctx, allocations) -> Tuple[Tuple[str, str], ...]:
 
 
 # ----------------------------------------------------------------------
+# one try
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AttemptSettings:
+    """Everything a try reads besides its function and inputs.
+
+    The engine holds one and hands a copy to each pool worker
+    (:func:`worker_init`).  *tile_store* is a per-process
+    :class:`~repro.core.incremental.TileCacheStore` (``None``: no
+    incremental re-allocation); a worker's copy starts empty and persists
+    across its tasks, so re-submissions of edited functions hit it as
+    long as they land on the same worker.
+    """
+
+    config: HierarchicalConfig
+    machine: Machine
+    simulate: bool = True
+    budget_limits: Optional[BudgetLimits] = None
+    tile_store: Optional[TileCacheStore] = None
+
+
+def attempt(
+    settings: AttemptSettings,
+    name: str,
+    load: Callable[[], Function],
+    *,
+    fingerprint: str,
+    args: Mapping[str, Any],
+    arrays: Mapping[str, Sequence[Any]],
+    index: int,
+    tries: int,
+    in_worker: bool = False,
+    allocator: str = "hierarchical",
+) -> Tuple[Optional[AllocationRecord], Optional[TaskError], Dict[str, object]]:
+    """Try one miss once: ``(record, None, timing)`` or ``(None, error,
+    timing)``, where the error's ``attempts`` is ``tries + 1``.
+
+    A hierarchical try first meets the fault plan at (*index*, *tries*);
+    *in_worker* says whether a ``kill`` or ``hang`` acts literally (see
+    :mod:`repro.batch.faultinject`).  A ladder rung (*allocator*
+    ``"chaitin"``/``"naive"``) is a different computation, not a retry:
+    it meets no fault and runs unbudgeted (see :func:`compute_record`).
+
+    ``timing`` holds a wall-clock ``start`` (``time.time()``, shared
+    across processes on one machine; trace rows offset it against the
+    engine's epoch), the ``pid``, and a monotonic ``duration`` of the
+    fault hook, ``load()`` and the allocation.  A record comes with the
+    allocator's ``stage_times`` and its ``tile_cache`` counters (``None``
+    without a tile store); a fuel or deadline failure with its
+    ``budget`` (``resource``, ``spent``, ``limit``).
+    """
+    timing: Dict[str, object] = {"start": time.time(), "pid": os.getpid()}
+    start_mono = time.monotonic()
+    record = error = None
+    try:
+        if allocator == "hierarchical":
+            active_plan().maybe_fail_task(index, tries, in_worker=in_worker)
+        record, stage_times, tile_cache = compute_record(
+            name, load(), settings.config, settings.machine,
+            args=args, arrays=arrays, simulate=settings.simulate,
+            fingerprint=fingerprint, allocator=allocator,
+            tile_store=settings.tile_store,
+            budget_limits=settings.budget_limits,
+        )
+        timing.update(stage_times=stage_times, tile_cache=tile_cache)
+    except Exception as exc:
+        error = task_error_from_exception(exc, attempts=tries + 1)
+        if isinstance(exc, BudgetExceededError):
+            timing["budget"] = {
+                "resource": exc.resource, "spent": exc.spent,
+                "limit": exc.limit,
+            }
+    timing["duration"] = time.monotonic() - start_mono
+    return record, error, timing
+
+
+# ----------------------------------------------------------------------
 # pool plumbing
 # ----------------------------------------------------------------------
-_WORKER_STATE: Dict[str, Any] = {}
+#: This pool worker's settings, set once by :func:`worker_init`.
+_SETTINGS: Optional[AttemptSettings] = None
 
 
 def worker_init(
-    src_path: str,
-    hash_seed: Optional[str],
-    config: HierarchicalConfig,
-    machine: Machine,
-    simulate: bool,
-    tile_cache: bool = False,
-    tile_cache_entries: int = 4096,
-    budget_limits=None,
+    src_path: str, hash_seed: Optional[str], settings: AttemptSettings
 ) -> None:
     """Per-process initializer: make ``import repro`` work regardless of
-    start method, pin ``PYTHONHASHSEED`` for any grandchildren, and stash
-    the shared configuration once instead of per task.  With *tile_cache*
-    set, the worker owns a process-local
-    :class:`~repro.core.incremental.TileCacheStore` that persists across
-    tasks -- re-submissions of edited functions hit it as long as they
-    land on the same worker."""
+    start method, pin ``PYTHONHASHSEED`` for any grandchildren, and keep
+    the engine's *settings* once instead of per task."""
+    global _SETTINGS
     if src_path and src_path not in sys.path:
         sys.path.insert(0, src_path)
     if hash_seed is not None:
         os.environ["PYTHONHASHSEED"] = hash_seed
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["machine"] = machine
-    _WORKER_STATE["simulate"] = simulate
-    _WORKER_STATE["budget_limits"] = budget_limits
-    if tile_cache:
-        from repro.core.incremental import TileCacheStore
-
-        _WORKER_STATE["tile_store"] = TileCacheStore(
-            capacity=tile_cache_entries
-        )
-    else:
-        _WORKER_STATE["tile_store"] = None
+    _SETTINGS = settings
 
 
 def run_task(
     task: Tuple[int, str, str, str, Dict[str, Any], Dict[str, list], int],
-) -> Tuple[int, Dict[str, object], Dict[str, object]]:
-    """Allocate one function in a pool process.
+) -> Tuple[Optional[Dict[str, Any]], Optional[TaskError], Dict[str, object]]:
+    """:func:`attempt` in a pool process, on the wire.
 
     *task* is ``(index, name, fingerprint, text, args, arrays, attempt)``;
-    the return value is ``(index, payload, timing)`` where ``payload`` is
-    the success/failure dict described in the module docstring and
-    ``timing`` carries a wall-clock ``start`` (``time.time()``, shared
-    across processes on one machine -- trace rows offset it against the
-    engine's epoch), a monotonic ``duration`` (interval math must not be
-    skewed by clock steps), the worker ``pid``, and the allocator's
-    per-stage times for aggregation.
-
-    Exceptions are caught and classified here -- never raised across the
-    pool boundary (see module docstring).  The fault-injection hook runs
-    first so an injected ``kill``/``hang`` behaves like the real worker
-    loss it simulates.
+    the function is parsed from ``text`` inside the try, and the record
+    comes back as :func:`~repro.batch.serialize.record_to_dict` data.
     """
-    from repro.batch.faultinject import active_plan
-    from repro.errors import classify_exception
-
-    index, name, fingerprint, text, args, arrays, attempt = task
-    start = time.time()  # wall: trace timestamp only
-    start_mono = time.monotonic()
-    stage_times: Dict[str, float] = {}
-    tile_cache: Optional[Dict[str, int]] = None
-    try:
-        active_plan().maybe_fail_task(index, attempt, in_worker=True)
-        fn = parse_function(text)
-        record, stage_times, tile_cache = compute_record(
-            name,
-            fn,
-            _WORKER_STATE["config"],
-            _WORKER_STATE["machine"],
-            args=args,
-            arrays=arrays,
-            simulate=_WORKER_STATE["simulate"],
-            fingerprint=fingerprint,
-            tile_store=_WORKER_STATE.get("tile_store"),
-            budget_limits=_WORKER_STATE.get("budget_limits"),
-        )
-        payload: Dict[str, object] = {
-            "ok": True,
-            "record": record_to_dict(record),
-        }
-    except Exception as exc:
-        error_class, permanence = classify_exception(exc)
-        payload = {
-            "ok": False,
-            "error_class": error_class,
-            "permanence": permanence,
-            "message": str(exc),
-        }
-        # Budget failures carry their accounting across the process
-        # boundary as plain data (exceptions are never pickled back).
-        from repro.core.budget import BudgetExceededError
-
-        if isinstance(exc, BudgetExceededError):
-            payload["budget"] = {
-                "resource": exc.resource,
-                "spent": exc.spent,
-                "limit": exc.limit,
-            }
-    timing = {
-        "start": start,
-        "duration": time.monotonic() - start_mono,
-        "pid": os.getpid(),
-        "stage_times": stage_times,
-    }
-    if tile_cache is not None:
-        timing["tile_cache"] = tile_cache
-    return index, payload, timing
+    index, name, fingerprint, text, args, arrays, tries = task
+    record, error, timing = attempt(
+        _SETTINGS, name, lambda: parse_function(text),
+        fingerprint=fingerprint, args=args, arrays=arrays,
+        index=index, tries=tries, in_worker=True,
+    )
+    return (
+        None if record is None else record_to_dict(record), error, timing
+    )

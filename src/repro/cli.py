@@ -324,10 +324,6 @@ def _add_engine_args(
             "recompute only dirty tiles (bit-identical output)",
         )
     parser.add_argument(
-        "--tile-cache-entries", type=int, default=4096, metavar="N",
-        help="LRU capacity of each per-process tile store (default: 4096)",
-    )
-    parser.add_argument(
         "--max-fuel", type=int, default=None, metavar="N",
         help="deterministic fuel budget per hierarchical allocation; "
         "exhausted functions degrade through the fallback ladder "
@@ -370,7 +366,6 @@ def _batch_config(args: argparse.Namespace):
         task_timeout_s=args.task_timeout,
         on_error=args.on_error,
         tile_cache=args.tile_cache,
-        tile_cache_entries=args.tile_cache_entries,
         max_fuel=args.max_fuel,
         deadline_s=args.deadline,
         admission_limit=args.admission_limit,

@@ -114,12 +114,12 @@ class BatchConfig:
             then reuses each clean subtree's phase-1 summary and phase-2
             binding and recomputes only dirty tiles -- bit-identical
             output, proven by ``repro.determinism check --incremental``.
-            Stores are per-process (the coordinator holds one for inline
-            tasks, each pool worker holds its own), complementary to the
+            Stores are per-process, of the default
+            :class:`~repro.core.incremental.TileCacheStore` capacity (the
+            coordinator holds one for inline tasks, each pool worker
+            holds its own), complementary to the
             function-level result cache: that one only hits on identical
             *whole functions*, this one hits on identical *tiles*.
-        tile_cache_entries: LRU capacity (phase-1 entries plus phase-2
-            overlays) of each per-process tile store.
         max_fuel: deterministic fuel budget per hierarchical allocation
             (see :mod:`repro.core.budget`).  Exhaustion is a *permanent*
             failure (error class ``"budget"``) that feeds the degradation
@@ -150,7 +150,6 @@ class BatchConfig:
     task_timeout_s: Optional[float] = None
     on_error: str = "degrade"
     tile_cache: bool = False
-    tile_cache_entries: int = 4096
     max_fuel: Optional[int] = None
     deadline_s: Optional[float] = None
     admission_limit: Optional[int] = None
@@ -186,11 +185,6 @@ class BatchConfig:
             raise ValueError(
                 f"unknown on_error {self.on_error!r} "
                 "(choose fail, skip, or degrade)"
-            )
-        if self.tile_cache_entries < 1:
-            raise ValueError(
-                f"tile_cache_entries must be >= 1, "
-                f"got {self.tile_cache_entries}"
             )
         if self.max_fuel is not None and self.max_fuel < 1:
             raise ValueError(

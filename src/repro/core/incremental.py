@@ -306,6 +306,11 @@ class TileCacheStore:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __reduce__(self):
+        # Entries are this process's memos: a copy pickled into another
+        # process (a pool worker's settings) starts empty.
+        return type(self), (self.capacity,)
+
     def get(self, key: Tuple) -> Optional[object]:
         with self._lock:
             entry = self._entries.get(key)

@@ -36,9 +36,7 @@ def spill_slot_references(fn: Function) -> Dict[str, float]:
     """Static spill references per slot key (unweighted)."""
     counts: Dict[str, float] = {}
     for _, instr in fn.instructions():
-        if instr.op in (Opcode.SPILL_LD, Opcode.SPILL_ST) and isinstance(
-            instr.imm, str
-        ):
+        if instr.op in (Opcode.SPILL_LD, Opcode.SPILL_ST):
             counts[instr.imm] = counts.get(instr.imm, 0.0) + 1
     return counts
 
@@ -52,9 +50,7 @@ def weighted_slot_traffic(
     for label, block in fn.blocks.items():
         weight = freq.prob_block(label)
         for instr in block.instrs:
-            if instr.op in (Opcode.SPILL_LD, Opcode.SPILL_ST) and isinstance(
-                instr.imm, str
-            ):
+            if instr.op in (Opcode.SPILL_LD, Opcode.SPILL_ST):
                 traffic[instr.imm] = traffic.get(instr.imm, 0.0) + weight
     return traffic
 

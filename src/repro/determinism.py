@@ -454,7 +454,8 @@ def _budget_mode(
     join the section and two processes that *charge* differently fail the
     cross-process check even when they allocate identically.  *fuel* must
     be generous enough for every workload to complete; a run that
-    exhausts it raises (``benchmarks/bench_guard.py`` owns aborts).
+    exhausts it raises (the engine's governance tests own aborts:
+    ``tests/test_adversarial.py``, ``tests/test_budget.py``).
     """
     machine = Machine.simple(registers)
     limits = BudgetLimits(max_fuel=fuel)

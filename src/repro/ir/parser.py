@@ -106,14 +106,6 @@ def _const(text: str):
     return value
 
 
-def _slot(text: str):
-    """A spill-slot key: the literal *text* spells, else *text*."""
-    try:
-        return _literal(text)
-    except IRParseError:
-        return text
-
-
 def _parse_rhs(dsts: List[str], rhs: str) -> Instr:
     rhs = rhs.strip()
     parts = rhs.split(None, 1)
@@ -133,7 +125,7 @@ def _parse_rhs(dsts: List[str], rhs: str) -> Instr:
         return _call(m, dsts)
     m = _SPILL_LD_RE.match(rhs)
     if m:
-        return Instr(Opcode.SPILL_LD, defs=tuple(dsts), imm=_slot(m.group(1)))
+        return Instr(Opcode.SPILL_LD, defs=tuple(dsts), imm=m.group(1))
     raise IRParseError(f"cannot parse rhs {rhs!r}")
 
 
@@ -147,7 +139,7 @@ def _parse_instr(line: str) -> Instr:
         return Instr(Opcode.STORE, uses=(m.group(2), m.group(3)), imm=m.group(1))
     m = _SPILL_ST_RE.match(line)
     if m:
-        return Instr(Opcode.SPILL_ST, uses=(m.group(2),), imm=_slot(m.group(1)))
+        return Instr(Opcode.SPILL_ST, uses=(m.group(2),), imm=m.group(1))
     m = _CALL_RE.match(line)
     if m:
         return _call(m, [])

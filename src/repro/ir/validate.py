@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
+    MEMORY_OPS,
     OPERAND_COUNTS_BY_VALUE,
     TERMINATOR_VALUES,
     Opcode,
@@ -22,6 +23,11 @@ class IRValidationError(ValueError):
     """Raised when a function violates a structural invariant."""
 
 
+#: Opcodes whose immediate names an array, a callee or a spill slot;
+#: the parser reads each back as a ``str``.
+_NAMING_VALUES = frozenset(op.value for op in MEMORY_OPS | {Opcode.CALL})
+
+
 def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
     """Raise :class:`IRValidationError` on the first violated invariant.
 
@@ -32,8 +38,9 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
     * every successor label resolves to a block (checked before any CFG
       map is built);
     * every instruction has its opcode's def and use counts
-      (:data:`~repro.ir.instructions.OPERAND_COUNTS`), and a ``CONST``
-      holds an int, bool or finite float;
+      (:data:`~repro.ir.instructions.OPERAND_COUNTS`), a ``CONST``
+      holds an int, bool or finite float, and the array, callee or slot
+      of a load, store, call or spill is a ``str``;
     * terminator arity matches successor count (CBR has exactly two
       successors, RET none or an edge to stop, others at most one);
     * non-terminator instructions do not appear after a terminator;
@@ -65,6 +72,7 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
     # loop runs per instruction on every prepare and allocated program.
     counts = OPERAND_COUNTS_BY_VALUE
     terminators = TERMINATOR_VALUES
+    naming = _NAMING_VALUES
     for block in fn:
         term = block.terminator
         for instr in block.instrs[:-1]:
@@ -84,6 +92,11 @@ def validate_function(fn: Function, allow_unreachable: bool = False) -> None:
                 raise IRValidationError(
                     f"block {block.label}: const takes an int, bool or "
                     f"finite float, not {instr.imm!r}"
+                )
+            if instr.op._value_ in naming and type(instr.imm) is not str:
+                raise IRValidationError(
+                    f"block {block.label}: {instr.op.value} names its "
+                    f"array, callee or slot with a str, not {instr.imm!r}"
                 )
             if not instr.clobbers:
                 continue

@@ -9,10 +9,12 @@ per-worker task rows; the CLI ``batch`` subcommand wires it all up.
 import collections
 import gc
 import json
+import pickle
 
 import pytest
 
 import repro.batch.engine as engine_module
+import repro.batch.worker as worker_module
 from repro.batch import (
     BatchConfig,
     BatchEngine,
@@ -21,8 +23,10 @@ from repro.batch import (
 )
 from repro.batch.engine import SourceWorkload, canonical_source
 from repro.batch.serialize import record_to_dict
+from repro.batch.worker import AttemptSettings
 from repro.cli import main as cli_main
-from repro.core import HierarchicalAllocator
+from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.core.incremental import TileCacheStore
 from repro.determinism import edit_one_block
 from repro.ir.instructions import Instr, Opcode
 from repro.ir.printer import format_function
@@ -54,13 +58,16 @@ class TestEngineBasics:
     def test_warm_pass_served_from_cache(self, monkeypatch):
         module = small_module()
         calls = count_calls(
-            monkeypatch, "compute_record", "parse_function", "format_function"
+            monkeypatch,
+            (worker_module, "compute_record"),
+            (engine_module, "parse_function"),
+            (engine_module, "format_function"),
         )
         with BatchEngine(batch=BatchConfig()) as engine:
             cold = engine.allocate_module(module)
-            # the counters sit where the engine looks its callees up; the
-            # cold pass parses nothing, since it allocates in-memory
-            # functions
+            # the counters sit where the engine and its tries look their
+            # callees up; the cold pass parses nothing, since it
+            # allocates in-memory functions
             assert calls == {
                 "compute_record": len(module),
                 "format_function": len(module),
@@ -80,6 +87,19 @@ class TestEngineBasics:
             pooled = pooled_engine.allocate_module(module)
         assert [r.record for r in inline] == [r.record for r in pooled]
         assert all(r.worker.startswith("worker-") for r in pooled)
+
+    def test_settings_pickle_with_an_empty_tile_store(self):
+        """A spawned pool worker receives the settings pickled; the tile
+        store's lock cannot be, and its entries are the coordinator's."""
+        store = TileCacheStore(capacity=8)
+        store.put(("p1", "x"), object())
+        settings = AttemptSettings(
+            HierarchicalConfig(), Machine.simple(8), tile_store=store
+        )
+        copy = pickle.loads(pickle.dumps(settings))
+        assert copy.machine == settings.machine
+        assert len(copy.tile_store) == 0
+        assert copy.tile_store.capacity == 8
 
     def test_duplicate_functions_computed_once(self):
         base = dot()
@@ -207,7 +227,6 @@ class TestMatchesSingleFunctionPipeline:
         back; a call's clobbers must survive that round trip, or the
         worker keeps values in registers the call destroys."""
         from repro.batch.worker import compute_record
-        from repro.core import HierarchicalConfig
         from repro.machine.calls import lower_calls
         from repro.workloads.callsites import make_caller
 
@@ -234,21 +253,21 @@ class TestMatchesSingleFunctionPipeline:
         assert record.bindings
 
 
-def count_calls(monkeypatch, *names) -> collections.Counter:
-    """Count calls of the named ``repro.batch.engine`` globals."""
+def count_calls(monkeypatch, *targets) -> collections.Counter:
+    """Count calls of ``(module, name)`` globals, keyed by name."""
     calls: collections.Counter = collections.Counter()
 
-    def wrap(name):
-        original = getattr(engine_module, name)
+    def wrap(module, name):
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    for name in names:
-        wrap(name)
+    for module, name in targets:
+        wrap(module, name)
     return calls
 
 

@@ -34,6 +34,8 @@ from repro.errors import PERMANENT, TRANSIENT, classify_exception
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, prepare
+from repro.trace import AllocationTracer, MemorySink
+from repro.trace.events import Admitted, BudgetExceeded, Rejected
 from repro.workloads.figure1 import figure1
 from repro.workloads.generators import random_program
 from repro.workloads.kernels import matmul
@@ -251,6 +253,39 @@ class TestEngineGovernance:
             stats = engine.stats
         assert stats.rejected == 0 and stats.degraded_by_budget == 0
         assert all(r.ok and not r.degraded for r in module.results)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_governance_trace_events(self, workers):
+        """Every function emits its governance events, inline and from a
+        pool worker: one ``BudgetExceeded`` at a tiny fuel, and one
+        ``Admitted`` or ``Rejected`` under an admission limit, each
+        carrying its ``estimate_cost`` and the limit."""
+        module = _module(count=4)
+        costs = {w.name: estimate_cost(w.fn) for w in module}
+        limit = sorted(costs.values())[1]  # admits two, rejects two
+
+        def events(**limits):
+            sink = MemorySink()
+            config = BatchConfig(batch_workers=workers, **limits)
+            with BatchEngine(
+                batch=config, tracer=AllocationTracer([sink])
+            ) as engine:
+                engine.allocate_module(module)
+            return sink
+
+        exceeded = events(max_fuel=20).of_type(BudgetExceeded)
+        assert sorted(e.function for e in exceeded) == sorted(costs)
+        for event in exceeded:
+            assert event.resource == "fuel"
+            assert event.spent > event.limit == 20
+
+        decided = events(admission_limit=limit).of_type(Admitted, Rejected)
+        assert sorted(e.function for e in decided) == sorted(costs)
+        for event in decided:
+            assert event.cost == costs[event.function]
+            assert event.limit == limit
+            assert isinstance(event, Rejected) == (event.cost > limit)
+        assert {type(e) for e in decided} == {Admitted, Rejected}
 
     def test_budget_config_validation(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,26 @@ class TestStructuralValidation:
         with pytest.raises(IRValidationError, match="const takes"):
             validate_function(fn)
 
+    @pytest.mark.parametrize(
+        "instr",
+        [
+            Instr(Opcode.LOAD, defs=("y",), uses=("x",), imm=3),
+            Instr(Opcode.STORE, uses=("x", "x"), imm=None),
+            Instr(Opcode.CALL, defs=("y",), uses=("x",), imm=7),
+            Instr(Opcode.SPILL_ST, uses=("x",), imm=3),
+            Instr(Opcode.SPILL_LD, defs=("y",), imm=("s", 1)),
+        ],
+        ids=["int_array", "no_array", "int_callee", "int_slot",
+             "tuple_slot"],
+    )
+    def test_names_must_be_strings(self, instr):
+        """The parser reads an array, callee or slot back as text, so a
+        name of another type would not survive a round trip."""
+        fn = self._fn()
+        fn.blocks["a"].instrs.insert(0, instr)
+        with pytest.raises(IRValidationError, match="with a str, not"):
+            validate_function(fn)
+
 
 class TestParserErrors:
     def test_empty_input(self):
@@ -229,6 +249,20 @@ class TestParserErrors:
         assert format_function(parse_function(format_function(fn))) == (
             format_function(fn)
         )
+
+    @pytest.mark.parametrize("slot", ["3", "True", "(1, 2)", "slot:x"])
+    def test_spill_slots_round_trip_as_text(self, slot):
+        fn = parse_function(
+            "func f(x) start=a stop=b\na:\n  ret x\n  -> b\nb:\n"
+        )
+        fn.blocks["a"].instrs[:0] = [
+            Instr(Opcode.SPILL_ST, uses=("x",), imm=slot),
+            Instr(Opcode.SPILL_LD, defs=("x",), imm=slot),
+        ]
+        validate_function(fn)
+        back = parse_function(format_function(fn))
+        assert [i.imm for i in back.blocks["a"].instrs[:2]] == [slot, slot]
+        assert all(type(i.imm) is str for i in back.blocks["a"].instrs[:2])
 
     def test_comments_ignored(self):
         text = (
