@@ -7,12 +7,13 @@ One :class:`BatchEngine` owns a persistent ``ProcessPoolExecutor`` and an
 1. every function is fingerprinted (canonical-program sha256) and looked
    up in the cache under ``cache_key(fingerprint, invalidation, inputs)``
    -- the inputs digest keeps records with simulated (input-dependent)
-   ``costs``/``returned`` from answering for different inputs.  The
-   engine's text memo, keyed weakly by function object, keeps each
-   in-memory function's text and fingerprint with a
+   ``costs``/``returned`` from answering for different inputs.  An
+   in-memory function is validated before it is printed: an invalid one
+   gets no key.  The engine's text memo, keyed weakly by function object,
+   keeps each in-memory function's text and fingerprint with a
    :func:`~repro.ir.printer.text_stamp` of every value the printer
    reads, so a function the engine has seen, unchanged, is keyed
-   without being printed again;
+   without being validated or printed again;
 2. misses are **deduplicated by cache key** (identical functions *with
    identical simulator inputs* are computed once) and fanned out over
    the pool, or computed inline when ``batch_workers == 0``.  Pool
@@ -121,7 +122,7 @@ from repro.ir.printer import (
     same_stamp,
     text_stamp,
 )
-from repro.ir.validate import IRValidationError, validate_function
+from repro.ir.validate import validate_function
 from repro.machine.target import Machine
 from repro.perf.timers import StageTimers
 from repro.trace.events import (
@@ -338,20 +339,10 @@ def _src_path() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _validation_error(fn) -> Optional[IRValidationError]:
-    """Why *fn* is not a valid function, or ``None`` when it is."""
-    try:
-        validate_function(fn)
-    except IRValidationError as exc:
-        return exc
-    return None
-
-
 def _task_tuple(task: _Task) -> Tuple:
     workload = task.workload
     return (
-        task.index, task.name, task.fingerprint, task.text,
-        dict(workload.args),
+        task.index, task.name, task.text, dict(workload.args),
         {k: list(v) for k, v in workload.arrays.items()},
         task.attempt,
     )
@@ -534,8 +525,8 @@ class BatchEngine:
         its text comes from the engine's text memo only while the
         function's :func:`~repro.ir.printer.text_stamp` still holds the
         very objects it held when the text was printed; otherwise the
-        function is printed and stamped again.  An entry lives as long
-        as its function object, and a new engine starts with none.
+        function is validated, printed and stamped again.  An entry lives
+        as long as its function object, and a new engine starts with none.
         """
         name = workload.label()
         if isinstance(workload, SourceWorkload):
@@ -554,12 +545,17 @@ class BatchEngine:
 
     def _canonical_text(self, fn) -> Tuple[str, str]:
         """*fn*'s canonical text and fingerprint, from the text memo
-        while its stamp holds."""
-        stamp = text_stamp(fn)
+        while its stamp holds; otherwise validated, then printed."""
+        try:
+            stamp = text_stamp(fn)
+        except KeyError:  # a dangling label, which validation names
+            validate_function(fn)
+            raise
         kept = self._texts.get(fn)
         if kept is not None and same_stamp(kept[0], stamp):
             self.stats.keys_reused += 1
             return kept[1], kept[2]
+        validate_function(fn)
         text = format_function(fn)
         fingerprint = text_fingerprint(text)
         self._texts[fn] = (stamp, text, fingerprint)
@@ -597,10 +593,9 @@ class BatchEngine:
         Failures are isolated per function according to
         ``batch.on_error`` (see :class:`~repro.core.config.BatchConfig`);
         only strict mode (``"fail"``) lets an exception escape.  That
-        includes an in-memory function the engine cannot print: it is
-        validated only then, and fails alone with the class of what
-        ``validate_function`` rejects (or of the printing error, when
-        it validates).
+        includes an in-memory function that cannot be keyed: an invalid
+        one fails alone, with class ``validate`` and ``attempts`` 0,
+        before any cache lookup or try, inline and pooled alike.
         """
         tracer = self.tracer
         t0 = time.time()  # wall: trace rows only (offset from _epoch)
@@ -611,7 +606,7 @@ class BatchEngine:
         results: List[Optional[BatchResult]] = [None] * len(workloads)
         miss_groups: Dict[str, List[int]] = {}
         #: keys that fail without reaching the allocator (admission
-        #: control, a function that cannot be printed) -> their error.
+        #: control, a function that cannot be keyed) -> their error.
         refused: Dict[str, TaskError] = {}
         admission_limit = self.batch.admission_limit
         for index, workload in enumerate(workloads):
@@ -622,14 +617,11 @@ class BatchEngine:
             try:
                 name, text, fingerprint, key = self.entry_for(workload)
             except Exception as exc:  # noqa: BLE001 -- isolated below
-                # No text, so no fingerprint or cache key: the function
-                # fails alone, explained by validation when it is invalid.
+                # Invalid or unprintable: no key, so it fails alone.
                 name, text, fingerprint = workload.label(), "", ""
-                key = f"unprintable:{index}"
+                key = f"unkeyed:{index}"
                 entries.append((name, text, fingerprint, workload))
-                refused[key] = task_error_from_exception(
-                    _validation_error(workload.fn) or exc, attempts=0
-                )
+                refused[key] = task_error_from_exception(exc, attempts=0)
                 miss_groups[key] = [index]
                 continue
             entries.append((name, text, fingerprint, workload))
@@ -826,7 +818,6 @@ class BatchEngine:
                 return workload.fn
         return attempt(
             self._settings, task.name, load,
-            fingerprint=task.fingerprint,
             args=workload.args, arrays=workload.arrays,
             index=task.index, tries=task.attempt, allocator=allocator,
         )

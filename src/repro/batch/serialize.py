@@ -3,9 +3,10 @@
 The batch engine's cache stores *results*, so a record must capture
 everything a cache hit has to reproduce bit-for-bit: the rewritten
 program text (assignments **and** inserted spill code -- the text is the
-complete binding), the spilled-variable set, the per-tile final bindings
-of real variables, and the simulator's cost counters when the workload
-carried inputs.
+complete binding), the spilled-variable set, and the simulator's cost
+counters when the workload carried inputs.  Nothing else: every field is
+a function of the cache key, so the submission's label travels beside
+the record (``BatchResult.name``), never in it.
 
 Three keys guard correctness:
 
@@ -52,7 +53,9 @@ from repro.machine.target import Machine
 #: could differ.  The version sits inside the invalidation key, so older
 #: records are unreachable under v4 keys and any that are loaded directly
 #: fail :func:`record_from_dict`.
-FORMAT_VERSION = 4
+#: v5: removed ``function``, ``fingerprint`` and ``bindings``: a record
+#: holds only what its cache key fixes and a reader reads.
+FORMAT_VERSION = 5
 
 #: Subpackages whose source feeds :func:`code_version` -- everything that
 #: can change what an allocation *produces*, including ``opt`` (which
@@ -209,24 +212,18 @@ def cache_key(fingerprint: str, invalidation: str, inputs: str = "") -> str:
 class AllocationRecord:
     """One cached allocation result (everything a hit reproduces).
 
-    ``bindings`` maps, per tile in postorder (index, not the
-    process-global tile id, which differs between processes), each real
-    variable visible in the tile to its final physical register or the
-    memory sentinel -- the phase-2 binding that placed it.  ``costs`` is
-    ``None`` when the workload carried no inputs (nothing was simulated).
-    Every field is determined by the cache key: how the allocation was
-    computed (pooled or inline, with or without a tile store) leaves no
-    trace in the record.
+    ``costs`` is ``None`` when the workload carried no inputs (nothing
+    was simulated).  Every field is determined by the cache key: how the
+    allocation was computed (pooled or inline, with or without a tile
+    store) and under which label leave no trace in the record
+    (``tests/test_batch_engine.py::TestOneKeyOneResult``).
     """
 
     version: int
-    function: str
-    fingerprint: str
     blocks: int
     allocated_sha256: str
     allocated_text: str
     spilled: Tuple[str, ...]
-    bindings: Tuple[Tuple[str, str], ...]
     static_costs: Mapping[str, int]
     costs: Optional[Mapping[str, int]]
     #: the simulator's observable return value, normalized to JSON shape
@@ -239,11 +236,11 @@ class AllocationRecord:
     #: the *hierarchical* content address; see the batch engine).
     allocator: str = "hierarchical"
 
-    def fingerprint_dict(self) -> Dict[str, object]:
-        """The ``repro.determinism`` fingerprint view of this record."""
+    def fingerprint_dict(self, name: str) -> Dict[str, object]:
+        """This record's ``repro.determinism`` fingerprint as *name*."""
         return fingerprint_view(
-            self.function, self.blocks, self.allocated_sha256,
-            self.spilled, self.costs,
+            name, self.blocks, self.allocated_sha256, self.spilled,
+            self.costs,
         )
 
 
@@ -254,11 +251,11 @@ def fingerprint_view(
     spilled: Sequence[str],
     costs: Optional[Mapping[str, int]],
 ) -> Dict[str, object]:
-    """The ``repro.determinism`` fingerprint: the allocated program's hash,
-    its spilled-variable set and (when it was simulated) the dynamic cost
-    counters.  The one place the fingerprint's keys are spelled --
-    :meth:`AllocationRecord.fingerprint_dict` and the service's wire
-    payloads both go through it."""
+    """The ``repro.determinism`` fingerprint of the submission *function*:
+    the allocated program's hash, its spilled-variable set and (when it
+    was simulated) the dynamic cost counters.  The one place its keys are
+    spelled -- :meth:`AllocationRecord.fingerprint_dict` and the service's
+    wire payloads both go through it."""
     out: Dict[str, object] = {
         "workload": function,
         "blocks": blocks,
@@ -272,10 +269,7 @@ def fingerprint_view(
 
 def record_to_dict(record: AllocationRecord) -> Dict[str, object]:
     """JSON-ready dict (stable field order via sort_keys at dump time)."""
-    payload = dataclasses.asdict(record)
-    payload["bindings"] = [list(pair) for pair in record.bindings]
-    payload["spilled"] = list(record.spilled)
-    return payload
+    return dataclasses.asdict(record)
 
 
 def record_from_dict(payload: Mapping[str, object]) -> AllocationRecord:
@@ -288,15 +282,10 @@ def record_from_dict(payload: Mapping[str, object]) -> AllocationRecord:
         )
     return AllocationRecord(
         version=FORMAT_VERSION,
-        function=str(payload["function"]),
-        fingerprint=str(payload["fingerprint"]),
         blocks=int(payload["blocks"]),
         allocated_sha256=str(payload["allocated_sha256"]),
         allocated_text=str(payload["allocated_text"]),
         spilled=tuple(payload["spilled"]),
-        bindings=tuple(
-            (str(var), str(loc)) for var, loc in payload["bindings"]
-        ),
         static_costs={
             str(k): int(v) for k, v in dict(payload["static_costs"]).items()
         },

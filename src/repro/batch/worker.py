@@ -12,7 +12,7 @@ through :func:`run_task`.
 
 A pool worker is initialized once per process with the engine's
 :class:`AttemptSettings` (:func:`worker_init`), then receives
-``(index, name, fingerprint, text, args, arrays, attempt)`` tasks -- the
+``(index, name, text, args, arrays, attempt)`` tasks -- the
 function travels as its canonical IR text (lossless round-trip through
 ``format_function``/``parse_function``, call clobbers included), never
 as a pickled object graph, so the wire format is as stable as the cache
@@ -26,7 +26,7 @@ function and condense the result into an :class:`AllocationRecord`", so
 pooled, inline and cached results are constructed identically
 (bit-identical, per the determinism gate).  A record is a pure function
 of its cache key: attaching a tile store changes how the allocation is
-computed, never the record.
+computed, and the submission's label names the result, never the record.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ from repro.batch.faultinject import active_plan
 from repro.batch.serialize import (
     FORMAT_VERSION,
     AllocationRecord,
-    function_fingerprint,
     normalize_returned,
     record_to_dict,
 )
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.budget import BudgetExceededError, BudgetLimits
 from repro.core.incremental import TileCacheStore
-from repro.core.summary import is_summary_var, is_temp_node
 from repro.errors import TaskError, task_error_from_exception
 from repro.ir.function import Function
 from repro.ir.parser import parse_function
@@ -90,7 +88,6 @@ def compute_record(
     args: Optional[Mapping[str, Any]] = None,
     arrays: Optional[Mapping[str, Sequence[Any]]] = None,
     simulate: bool = True,
-    fingerprint: Optional[str] = None,
     allocator: str = "hierarchical",
     tile_store=None,
     budget_limits=None,
@@ -107,10 +104,9 @@ def compute_record(
     (``tile_hits`` / ``tile_misses`` / ``subtrees_reused``; ``None``
     otherwise).
 
-    *allocator* selects the algorithm: ``"hierarchical"`` (default), or
-    the degradation-ladder fallbacks ``"chaitin"`` / ``"naive"`` (those
-    produce no per-tile bindings; everything else in the record is
-    constructed identically).  *tile_store* is a
+    The record does not hold *name*.  *allocator* selects the algorithm:
+    ``"hierarchical"`` (default), or the degradation-ladder fallbacks
+    ``"chaitin"`` / ``"naive"``.  *tile_store* is a
     :class:`repro.core.incremental.TileCacheStore` for incremental
     re-allocation and *budget_limits* a
     :class:`repro.core.budget.BudgetLimits` resource governor; only the
@@ -119,48 +115,32 @@ def compute_record(
     A tile store changes only the third return value -- the record is
     equal with or without one.
     """
-    from repro.pipeline import Workload, compile_function, prepare
+    from repro.pipeline import (
+        Workload, allocate_checked, compile_function, prepare,
+    )
 
-    fingerprint = fingerprint or function_fingerprint(fn)
     args = dict(args or {})
     arrays = {k: list(v) for k, v in (arrays or {}).items()}
     alloc = _make_allocator(allocator, config, tile_store, budget_limits)
 
-    costs: Optional[Dict[str, int]] = None
-    returned: Optional[int] = None
     if simulate and (args or arrays):
         result = compile_function(
             Workload(fn, args, arrays, name=name), alloc, machine
         )
-        outcome = result.outcome
-        costs = {
-            "spill_loads": result.allocated_run.spill_loads,
-            "spill_stores": result.allocated_run.spill_stores,
-            "moves": result.allocated_run.register_moves,
-            "program_refs": result.allocated_run.program_memory_refs,
-        }
+        outcome, costs = result.outcome, result.overhead_summary
         returned = normalize_returned(result.allocated_run.returned)
     else:
-        from repro.ir.validate import validate_function
-        from repro.machine.rewrite import remove_self_moves
-
-        outcome = alloc.allocate(prepare(fn), machine)
-        remove_self_moves(outcome.fn)
-        validate_function(outcome.fn, allow_unreachable=True)
+        outcome = allocate_checked(alloc, prepare(fn), machine)
+        costs = returned = None
 
     extra = outcome.stats.extra
     text = format_function(outcome.fn)
     record = AllocationRecord(
         version=FORMAT_VERSION,
-        function=name,
-        fingerprint=fingerprint,
         blocks=len(outcome.fn.blocks),
         allocated_sha256=hashlib.sha256(text.encode()).hexdigest(),
         allocated_text=text,
         spilled=tuple(sorted(outcome.stats.spilled_vars)),
-        bindings=_final_bindings(
-            extra.get("context"), extra.get("allocations")
-        ),
         static_costs={
             "spill_loads": outcome.stats.static_spill_loads,
             "spill_stores": outcome.stats.static_spill_stores,
@@ -173,26 +153,6 @@ def compute_record(
     return (
         record, dict(extra.get("stage_times", {})), extra.get("tile_cache")
     )
-
-
-def _final_bindings(ctx, allocations) -> Tuple[Tuple[str, str], ...]:
-    """Per-tile final bindings of real variables, as ``("t<i>:<var>",
-    location)`` pairs where ``<i>`` is the tile's *postorder index* --
-    process-global tile ids differ between worker processes, postorder
-    indices do not."""
-    if ctx is None or allocations is None:
-        return ()
-    pairs = []
-    for index, tile in enumerate(ctx.tree.postorder()):
-        alloc = allocations.get(tile.tid)
-        if alloc is None:
-            continue
-        phys = getattr(alloc, "phys", None) or {}
-        for node in sorted(phys):
-            if is_summary_var(node) or is_temp_node(node):
-                continue
-            pairs.append((f"t{index}:{node}", phys[node]))
-    return tuple(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +182,6 @@ def attempt(
     name: str,
     load: Callable[[], Function],
     *,
-    fingerprint: str,
     args: Mapping[str, Any],
     arrays: Mapping[str, Sequence[Any]],
     index: int,
@@ -256,8 +215,7 @@ def attempt(
         record, stage_times, tile_cache = compute_record(
             name, load(), settings.config, settings.machine,
             args=args, arrays=arrays, simulate=settings.simulate,
-            fingerprint=fingerprint, allocator=allocator,
-            tile_store=settings.tile_store,
+            allocator=allocator, tile_store=settings.tile_store,
             budget_limits=settings.budget_limits,
         )
         timing.update(stage_times=stage_times, tile_cache=tile_cache)
@@ -294,19 +252,18 @@ def worker_init(
 
 
 def run_task(
-    task: Tuple[int, str, str, str, Dict[str, Any], Dict[str, list], int],
+    task: Tuple[int, str, str, Dict[str, Any], Dict[str, list], int],
 ) -> Tuple[Optional[Dict[str, Any]], Optional[TaskError], Dict[str, object]]:
     """:func:`attempt` in a pool process, on the wire.
 
-    *task* is ``(index, name, fingerprint, text, args, arrays, attempt)``;
-    the function is parsed from ``text`` inside the try, and the record
-    comes back as :func:`~repro.batch.serialize.record_to_dict` data.
+    *task* is ``(index, name, text, args, arrays, attempt)``; the function
+    is parsed from ``text`` inside the try, and the record comes back as
+    :func:`~repro.batch.serialize.record_to_dict` data.
     """
-    index, name, fingerprint, text, args, arrays, tries = task
+    index, name, text, args, arrays, tries = task
     record, error, timing = attempt(
         _SETTINGS, name, lambda: parse_function(text),
-        fingerprint=fingerprint, args=args, arrays=arrays,
-        index=index, tries=tries, in_worker=True,
+        args=args, arrays=arrays, index=index, tries=tries, in_worker=True,
     )
     return (
         None if record is None else record_to_dict(record), error, timing

@@ -194,8 +194,6 @@ class HierarchicalAllocator(Allocator):
                 "breadth_profile": tree.breadth_profile(),
                 "fixup_blocks": build.fixup.total,
                 "recolor_rounds": recolor,
-                "allocations": allocations,
-                "context": ctx,
             }
         )
         return stats

@@ -19,9 +19,9 @@ module is the proof harness:
   several distinct ``PYTHONHASHSEED`` values and fails loudly on any
   divergence.
 
-``tests/determinism/``, ``tests/test_golden.py``,
-``benchmarks/bench_determinism.py`` and the CI determinism gates all drive
-the same code paths, so "deterministic" means one thing everywhere.
+``tests/determinism/`` (E17's matrix), ``tests/test_golden.py`` and the
+CI determinism gates all drive the same code paths, so "deterministic"
+means one thing everywhere.
 
 Tile ids and instruction uids come from process-global counters, but the
 allocator renumbers both on its private copy before any derived name is
@@ -117,7 +117,7 @@ def allocation_fingerprint(
     produced for a *correct* allocation.
     """
     record, _, _ = _record(workload, machine or Machine.simple(8))
-    return record.fingerprint_dict()
+    return record.fingerprint_dict(workload.label())
 
 
 def edit_one_block(fn: Function) -> str:
@@ -259,8 +259,8 @@ def _batch_mode(
     if edited.record != direct:
         raise RuntimeError(_diverged(
             names[0], "edited batch record diverges from the direct "
-            "allocation of the same edit", direct.fingerprint_dict(),
-            edited.record.fingerprint_dict() if edited.record else None,
+            "allocation of the same edit", direct.fingerprint_dict(names[0]),
+            edited.record and edited.record.fingerprint_dict(edited.name),
         ))
 
     out: ModeResult = {}
@@ -273,9 +273,9 @@ def _batch_mode(
             raise RuntimeError(
                 f"{name}: cached record diverges from computed record"
             )
-        cold_fp = c.record.fingerprint_dict()
+        cold_fp = c.record.fingerprint_dict(c.name)
         out[name] = cold_fp, {
-            "cold": cold_fp, "warm": w.record.fingerprint_dict(),
+            "cold": cold_fp, "warm": w.record.fingerprint_dict(w.name),
         }
     return out
 
@@ -390,7 +390,7 @@ def _incremental_mode(
     for name in names:
         store = TileCacheStore()
         base, _, _ = _record(build_workload(name), machine, tile_store=store)
-        base_fp = base.fingerprint_dict()
+        base_fp = base.fingerprint_dict(name)
         section: Dict[str, object] = {"base": base_fp}
         for key, edit, dirties in _INCREMENTAL_EDITS:
             edited = build_workload(name)
@@ -401,7 +401,7 @@ def _incremental_mode(
             fresh = build_workload(name)
             edit(fresh.fn)
             full_fp = allocation_fingerprint(fresh, machine)
-            warm_fp = warm.fingerprint_dict()
+            warm_fp = warm.fingerprint_dict(name)
             if warm_fp != full_fp:
                 raise RuntimeError(_diverged(
                     name, f"warm incremental re-allocation after {key} "
@@ -466,7 +466,7 @@ def _budget_mode(
         governed = HierarchicalAllocator(budget_limits=limits)
         governed.allocate(prepare(workload.fn), machine)
         snap = governed.last_budget
-        out[name] = record.fingerprint_dict(), {
+        out[name] = record.fingerprint_dict(name), {
             "fuel": fuel, "spent": snap["spent"],
             "counters": snap["counters"],
         }

@@ -4,9 +4,9 @@ Every exception the pipeline can raise is classified along two axes:
 
 * an **error class** -- a short stable string naming *what* failed
   (``"parse"``, ``"no_color"``, ``"timeout"``, ...) that survives process
-  boundaries (pool workers report failures as plain dicts, never pickled
-  exception objects, so classification must happen where the exception
-  type is still known);
+  boundaries (pool workers return a :class:`TaskError`, plain data, never
+  a pickled exception object, so classification must happen where the
+  exception type is still known);
 * a **permanence** -- :data:`PERMANENT` failures are deterministic
   functions of the input (re-running the identical task re-fails:
   malformed IR, an uncolorable required node, a differential-verification

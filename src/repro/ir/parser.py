@@ -38,26 +38,41 @@ from repro.ir.instructions import (
     operand_count_error,
 )
 
+#: The name grammar: the parser reads each position by its pattern and
+#: ``validate_function`` rejects a name outside it, so a valid function's
+#: text parses back to it.  Variables, arrays and callees are NAMEs
+#: (``.t3``, ``x%1``, ``csv:0``, ``R0``); a SLOT is any one line of text.
+NAME = r"[\w.$%:]+"
+LABEL = r"[\w.$%]+"
+FUNC_NAME = r"\w[\w.]*"
+SLOT = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+"
+
 _FUNC_RE = re.compile(
-    r"^func\s+(\w[\w.]*)\((.*?)\)\s+start=(\S+)\s+stop=(\S+)\s*$"
+    rf"^func\s+({FUNC_NAME})\((.*?)\)\s+start=({LABEL})\s+stop=({LABEL})\s*$"
 )
-_LABEL_RE = re.compile(r"^([\w.$%]+):\s*$")
+_LABEL_RE = re.compile(rf"^({LABEL}):\s*$")
 _SUCC_RE = re.compile(r"^->\s*(.*)$")
 _ASSIGN_RE = re.compile(r"^(.*?)\s*=\s*(.*)$")
-_LOAD_RE = re.compile(r"^load\s+([\w.$%]+)\[([\w.$%]+)\]$")
-_STORE_RE = re.compile(r"^store\s+([\w.$%]+)\[([\w.$%]+)\],\s*([\w.$%]+)$")
+_LOAD_RE = re.compile(rf"^load\s+({NAME})\[({NAME})\]$")
+_STORE_RE = re.compile(rf"^store\s+({NAME})\[({NAME})\],\s*({NAME})$")
 _CALL_RE = re.compile(
-    r"^call\s+([\w.$%]+)\((.*?)\)(?:\s+clobbers\s+(.+))?$"
+    rf"^call\s+({NAME})\((.*?)\)(?:\s+clobbers\s+(.+))?$"
 )
-_SPILL_ST_RE = re.compile(r"^spillst\s+\[(.*?)\],\s*([\w.$%]+)$")
-_SPILL_LD_RE = re.compile(r"^spillld\s+\[(.*?)\]$")
+_SPILL_ST_RE = re.compile(rf"^spillst\s+\[({SLOT})\],\s*({NAME})$")
+_SPILL_LD_RE = re.compile(rf"^spillld\s+\[({SLOT})\]$")
+#: Comma-separated lists of names and of labels, possibly empty.
+_NAMES_RE = re.compile(rf"\s*(?:{NAME}(?:\s*,\s*{NAME})*)?\s*")
+_LABELS_RE = re.compile(rf"\s*(?:{LABEL}(?:\s*,\s*{LABEL})*)?\s*")
 
 
 class IRParseError(ValueError):
     """Raised on malformed IR text."""
 
 
-def _split_names(text: str) -> List[str]:
+def _split_names(text: str, names: re.Pattern = _NAMES_RE) -> List[str]:
+    """The comma-separated names in *text*, as *names* matches them."""
+    if not names.fullmatch(text):
+        raise IRParseError(f"{text.strip()!r} is not a list of names")
     text = text.strip()
     if not text:
         return []
@@ -166,7 +181,7 @@ def _parse_line(fn: Function, current: Optional[BasicBlock], line: str):
     if sm:
         if current is None:
             raise IRParseError("successor list before any block")
-        current.succ_labels = _split_names(sm.group(1))
+        current.succ_labels = _split_names(sm.group(1), _LABELS_RE)
         return current
     if current is None:
         raise IRParseError(f"instruction outside block: {line!r}")

@@ -133,6 +133,17 @@ def prepare(fn: Function, optimize: bool = False) -> Function:
     return renamed
 
 
+def allocate_checked(
+    allocator: Allocator, fn: Function, machine: Machine
+) -> AllocationOutcome:
+    """Allocate *fn*, a :func:`prepare` result, drop self moves and
+    validate the output: every allocation the pipeline returns does."""
+    outcome = allocator.allocate(fn, machine)
+    remove_self_moves(outcome.fn)
+    validate_function(outcome.fn, allow_unreachable=True)
+    return outcome
+
+
 def compile_function(
     workload: Workload,
     allocator: Allocator,
@@ -172,9 +183,7 @@ def compile_function(
         )
 
     with _stage(trace, "pipeline:allocate"):
-        outcome = allocator.allocate(fn, machine)
-        remove_self_moves(outcome.fn)
-        validate_function(outcome.fn, allow_unreachable=True)
+        outcome = allocate_checked(allocator, fn, machine)
 
     allocated_args = _map_args(outcome.fn, fn, workload.args)
     with _stage(trace, "pipeline:allocated_run"):
@@ -239,9 +248,9 @@ def allocate_module(
     cache when possible; misses fan out over a persistent process pool
     (``batch.batch_workers``) and merge back in submission order, so the
     returned :class:`~repro.batch.engine.ModuleAllocation` is a
-    deterministic function of the input module.  See :mod:`repro.batch`
-    for the engine, cache and serialization layers, and
-    :class:`~repro.core.config.BatchConfig` for the knobs.
+    deterministic function of the input module; an invalid function fails
+    alone, at keying.  :mod:`repro.batch` has the engine, cache and
+    serialization layers, :class:`~repro.core.config.BatchConfig` the knobs.
 
     For repeated batches against one cache/pool, hold a
     :class:`~repro.batch.engine.BatchEngine` open instead of calling this

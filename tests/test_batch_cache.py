@@ -34,16 +34,13 @@ from repro.workloads.generators import random_program
 from repro.workloads.kernels import dot
 
 
-def make_record(i=0, name="fn"):
+def make_record(i=0):
     return AllocationRecord(
         version=FORMAT_VERSION,
-        function=name,
-        fingerprint=f"fp{i:04d}",
         blocks=3,
-        allocated_sha256="a" * 64,
+        allocated_sha256=f"{i:064x}",
         allocated_text="func fn() {\n}\n",
         spilled=("v1", "v2"),
-        bindings=(("t0:v1", "r0"), ("t1:v2", "r1")),
         static_costs={"spill_loads": 1, "spill_stores": 2, "moves": 0},
         costs={"spill_loads": 1, "spill_stores": 2, "moves": 0,
                "program_refs": 5},

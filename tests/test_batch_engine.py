@@ -29,6 +29,7 @@ from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.incremental import TileCacheStore
 from repro.determinism import edit_one_block
 from repro.ir.instructions import Instr, Opcode
+from repro.ir.parser import parse_function
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, allocate_module, compile_function
@@ -250,7 +251,7 @@ class TestMatchesSingleFunctionPipeline:
         record = results.results[0].record
         assert record.costs is None and record.returned is None
         assert record.allocated_text
-        assert record.bindings
+        assert record.static_costs
 
 
 def count_calls(monkeypatch, *targets) -> collections.Counter:
@@ -427,6 +428,111 @@ class TestTextMemo:
             cold = engine.allocate_module(cold_module)
             assert engine.stats.keys_reused == 0
         assert dumps(warm) == dumps(cold)
+
+
+def _one_load(*, array="A", index="i"):
+    """``index = copy n; x = load array[index]; ret x``, in memory."""
+    fn = parse_function(
+        "func f(n) start=s stop=t\ns:\n  i = copy n\n  x = load A[i]\n"
+        "  ret x\n  -> t\nt:\n"
+    )
+    fn.blocks["s"].instrs[:2] = [
+        Instr(Opcode.COPY, defs=(index,), uses=("n",)),
+        Instr(Opcode.LOAD, defs=("x",), uses=(index,), imm=array),
+    ]
+    return fn
+
+
+def _every_path(workloads, cache_dir):
+    """*workloads* inline, in a pool worker, in a pool worker filling a
+    disk cache, and inline again served from that disk cache: each
+    run's results and the number of records its cache holds."""
+    runs = (
+        BatchConfig(batch_workers=0),
+        BatchConfig(batch_workers=1),
+        BatchConfig(batch_workers=1, cache_policy="disk",
+                    cache_dir=str(cache_dir)),
+        BatchConfig(batch_workers=0, cache_policy="disk",
+                    cache_dir=str(cache_dir)),
+    )
+    out = []
+    for batch in runs:
+        with BatchEngine(batch=batch) as engine:
+            out.append((engine.allocate_module(workloads).results,
+                        len(engine.cache)))
+    return out
+
+
+class TestOneKeyOneResult:
+    """The cache key decides the result: whether there is a record, and
+    every field of it."""
+
+    @pytest.mark.parametrize("fields", [
+        {"array": 3},       # prints ``load 3[i]``, parsed back as "3"
+        {"index": "a,b"},   # prints ``a,b = copy n``, two defs
+    ], ids=["int_array", "comma_name"])
+    def test_invalid_function_fails_at_keying_on_every_path(
+        self, fields, tmp_path
+    ):
+        workload = Workload(_one_load(**fields), {"n": 1}, {"A": [5, 6]})
+        for (result,), cached in _every_path([workload], tmp_path):
+            assert result.record is None
+            assert result.error.error_class == "validate"
+            assert result.attempts == 0
+            assert cached == 0
+        assert not list(tmp_path.rglob("*.json"))
+
+    def test_valid_name_allocates_to_one_record_on_every_path(
+        self, tmp_path
+    ):
+        """``i:1`` is a name: inline, pooled and disk-served runs return
+        one record."""
+        workload = Workload(
+            _one_load(index="i:1"), {"n": 1}, {"A": [5, 6]}
+        )
+        runs = _every_path([workload], tmp_path)
+        records = [result.record for (result,), _ in runs]
+        assert records[0] is not None and records[0].returned == [6]
+        assert all(record == records[0] for record in records)
+        assert [result.source for (result,), _ in runs] == [
+            "computed", "computed", "computed", "disk",
+        ]
+
+    def test_function_the_memo_holds_fails_at_keying_once_invalid(self):
+        """An edit that leaves a successor dangling makes the stamp of a
+        function the text memo holds unreadable; it fails ``validate``
+        at keying like any invalid function."""
+        workload = Workload(dot(), name="dot")
+        with BatchEngine(batch=BatchConfig()) as engine:
+            assert engine.allocate_module([workload]).ok
+            fn = workload.fn
+            fn.blocks[fn.start_label].succ_labels = ["nowhere"]
+            fn.invalidate_caches()
+            result = engine.allocate_module([workload])[0]
+        assert result.error.error_class == "validate"
+        assert result.attempts == 0
+
+    def test_a_shared_key_names_each_submission(self, tmp_path):
+        """One text submitted as ``alpha`` and as ``beta``: one record,
+        computed once under the first label, and each result's
+        fingerprint names its own label -- computed inline or pooled,
+        or read back from memory or from disk."""
+        fn = dot()
+        module = [Workload(fn, name="alpha"), Workload(fn.clone(), name="beta")]
+        records = []
+        for results, _ in _every_path(module, tmp_path):
+            assert [r.name for r in results] == ["alpha", "beta"]
+            assert [r.record.fingerprint_dict(r.name)["workload"]
+                    for r in results] == ["alpha", "beta"]
+            records += [r.record for r in results]
+        with BatchEngine(batch=BatchConfig()) as engine:
+            engine.allocate_module(module)
+            records += [r.record for r in engine.allocate_module(module)]
+        assert all(record == records[0] for record in records)
+        alone, _, _ = worker_module.compute_record(
+            "beta", fn, HierarchicalConfig(), Machine.simple(8)
+        )
+        assert alone == records[0]
 
 
 class TestSyntheticModule:

@@ -48,7 +48,7 @@ from repro.trace import (
 
 
 def _fingerprints(module):
-    return [r.record.fingerprint_dict() for r in module]
+    return [r.record.fingerprint_dict(r.name) for r in module]
 
 
 def _set_plan(monkeypatch, specs):
@@ -546,9 +546,8 @@ class TestCacheQuarantine:
         cache_dir = tmp_path / "cache"
         cache = AllocationCache(capacity=4, cache_dir=str(cache_dir))
         record = AllocationRecord(
-            version=FORMAT_VERSION, function="f", fingerprint="ab" * 32,
-            blocks=1, allocated_sha256="cd" * 32, allocated_text="",
-            spilled=(), bindings=(), static_costs={}, costs=None,
+            version=FORMAT_VERSION, blocks=1, allocated_sha256="cd" * 32,
+            allocated_text="", spilled=(), static_costs={}, costs=None,
             returned=None,
         )
         # make the shard path unwritable by occupying it with a file

@@ -421,7 +421,7 @@ class TestBatchPlumbing:
             "f", fn, HierarchicalConfig(), MACHINE, simulate=False,
             tile_store=store,
         )
-        assert record.version == FORMAT_VERSION == 4
+        assert record.version == FORMAT_VERSION == 5
         assert counters["tile_misses"] > 0
         assert record_from_dict(record_to_dict(record)) == record
 

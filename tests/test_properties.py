@@ -27,14 +27,29 @@ from repro.core.incremental import TileCacheStore
 from repro.errors import classify_exception
 from repro.graph.coloring import color_graph, verify_coloring
 from repro.graph.interference import InterferenceGraph
+from repro.ir.basic_block import BasicBlock
+from repro.ir.function import Function
 from repro.ir.instructions import BINARY_OPS, Instr, Opcode, is_phys
-from repro.ir.parser import IRParseError, parse_function
+from repro.ir.parser import (
+    FUNC_NAME,
+    LABEL,
+    NAME,
+    SLOT,
+    IRParseError,
+    parse_function,
+)
 from repro.ir.printer import format_function
 from repro.ir.validate import IRValidationError, validate_function
 from repro.machine.calls import lower_calls
 from repro.machine.simulator import simulate
 from repro.machine.target import Machine
-from repro.pipeline import Workload, compile_function, prepare
+from repro.minilang import MiniLangError, compile_source
+from repro.pipeline import (
+    Workload,
+    compile_function,
+    load_function_source,
+    prepare,
+)
 from repro.service.config import ServiceConfig
 from repro.service.server import AllocationService, ServiceError
 from repro.tiles.construction import build_tile_tree_detailed
@@ -42,6 +57,7 @@ from repro.tiles.validate import validate_tile_tree
 from repro.workloads.callsites import make_caller
 from repro.workloads.generators import random_program, random_workload
 from repro.workloads.kernels import all_kernel_workloads
+from repro.workloads.minilang_fuzz import random_minilang_source
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 COMMON = settings(
@@ -185,6 +201,75 @@ def test_allocation_is_a_function_of_the_text(perturb, seed, registers):
         direct = compile_function(w, allocator_cls(), machine)
         back = compile_function(parsed, allocator_cls(), machine)
         assert format_function(direct.fn) == format_function(back.fn), name
+
+
+#: Each name position of :func:`_named_function`, with the parser's
+#: pattern for it.
+_POSITIONS = {
+    "function": FUNC_NAME, "param": NAME, "sum": NAME, "loaded": NAME,
+    "result": NAME, "array": NAME, "callee": NAME, "slot": SLOT,
+    "entry": LABEL, "middle": LABEL, "exit": LABEL,
+}
+#: Names outside the grammar are drawn from these characters: some that
+#: every position admits, and commas, colons, brackets, spaces, line
+#: breaks and other characters that some or all positions refuse.
+_ANY_NAME = st.text("aZ9_.$%:,;[]()= #\n\r\u2028-", max_size=4)
+
+
+@st.composite
+def _names(draw):
+    """A name per position of :func:`_named_function`, each drawn from
+    its pattern, then (half the time) one replaced by any text."""
+    names = {
+        position: draw(st.from_regex(pattern, fullmatch=True))
+        for position, pattern in _POSITIONS.items()
+    }
+    odd = draw(st.none() | st.sampled_from(sorted(_POSITIONS)))
+    if odd is not None:
+        names[odd] = draw(_ANY_NAME)
+    return names
+
+
+def _named_function(n):
+    """A function that puts a name in every position the text has: the
+    header, labels and successors, defs and uses, an array, a callee
+    and a spill slot."""
+    fn = Function(n["function"], [n["param"]], n["entry"], n["exit"])
+    p, total, loaded, result = n["param"], n["sum"], n["loaded"], n["result"]
+    entry = fn.add_block(BasicBlock(n["entry"]))
+    entry.instrs = [
+        Instr(Opcode.ADD, defs=(total,), uses=(p, p)),
+        Instr(Opcode.LOAD, defs=(loaded,), uses=(total,), imm=n["array"]),
+        Instr(Opcode.STORE, uses=(total, loaded), imm=n["array"]),
+        Instr(Opcode.CALL, defs=(result,), uses=(loaded, total),
+              imm=n["callee"], clobbers=("R1",)),
+        Instr(Opcode.CALL, uses=(result,), imm=n["callee"]),
+        Instr(Opcode.SPILL_ST, uses=(result,), imm=n["slot"]),
+        Instr(Opcode.SPILL_LD, defs=(result,), imm=n["slot"]),
+        Instr(Opcode.CBR, uses=(result,)),
+    ]
+    entry.succ_labels = [n["middle"], n["exit"]]
+    middle = fn.add_block(BasicBlock(n["middle"]))
+    middle.instrs = [Instr(Opcode.BR)]
+    middle.succ_labels = [n["exit"]]
+    fn.add_block(BasicBlock(n["exit"])).instrs = [
+        Instr(Opcode.RET, uses=(result,))
+    ]
+    return fn
+
+
+@given(names=_names())
+@settings(max_examples=300, deadline=None)
+def test_every_valid_function_round_trips_through_its_text(names):
+    """``validate_function`` accepts only names the parser reads back
+    in their position, so every function it accepts parses back from
+    its printed text, and the parsed function prints the same text."""
+    assume(len({names["entry"], names["middle"], names["exit"]}) == 3)
+    fn = _named_function(names)
+    if not _valid(fn):
+        return
+    text = format_function(fn)
+    assert format_function(parse_function(text)) == text
 
 
 def _pick_instr(fn, rng, wanted=lambda instr: True):
@@ -363,13 +448,19 @@ TEXT_EDITS = {
 def test_text_memo_never_serves_a_stale_text(edit, seed):
     """The engine keys a function it has seen from its text memo while
     the function's stamp holds, so no in-place edit of a printed field
-    may leave the memo serving the text from before the edit."""
+    may leave the memo serving the text from before the edit.  An edit
+    that makes the function invalid makes keying raise instead: only a
+    valid function gets a key."""
     w = random_workload(seed)
     with BatchEngine(batch=BatchConfig()) as engine:
         engine.entry_for(w)
         engine.entry_for(w)
         assert engine.stats.keys_reused == 1
         edit(w.fn, random.Random(seed), lambda: engine.entry_for(w))
+        if not _valid(w.fn):
+            with pytest.raises(IRValidationError):
+                engine.entry_for(w)
+            return
         _, text, fingerprint, _ = engine.entry_for(w)
     assert text == format_function(w.fn)
     assert fingerprint == hashlib.sha256(text.encode()).hexdigest()
@@ -606,16 +697,18 @@ def test_minilang_fuzz_optimizer_agrees(seed):
     assert a.returned == b.returned
 
 
-#: One-line mutations of a printed function: delete, duplicate, swap or
+#: One-line mutations of a function's text: delete, duplicate, swap or
 #: truncate a line, replace a token, or rewrite a successor list.
 MUTATIONS = ("delete", "duplicate", "swap", "truncate", "token", "successors")
 
 #: Tokens a mutation may put in place of a word, besides the text's own:
-#: names, mnemonics and literals valid somewhere, and some valid nowhere.
+#: names, IR mnemonics, MiniLang keywords and literals valid somewhere,
+#: and some valid nowhere.
 _TOKENS = (
     "nowhere", "add", "copy", "const", "cbr", "ret", "br", "load", "call",
     "spillld", "R1", "x", "", "True", "0.5", "1e999", "[1, 2]", "'s'",
-    "(1, [2])",
+    "(1, [2])", "var", "while", "if", "else", "break", "return", "func",
+    "A[", "{", "}", ";",
 )
 _WORD = re.compile(r"([\w.$%]+)")
 
@@ -649,11 +742,11 @@ def _mutate(text, kind, rng):
     return "\n".join(lines) + "\n"
 
 
-def _direct_class(text):
-    """The class parse -> prepare -> allocate -> print ends in."""
+def _direct_class(text, lang):
+    """The class load -> prepare -> allocate -> print ends in."""
     try:
         out = HierarchicalAllocator().allocate(
-            prepare(parse_function(text)), Machine.simple(4)
+            prepare(load_function_source(text, lang)), Machine.simple(4)
         )
         format_function(out.fn)
     except Exception as exc:  # noqa: BLE001 -- classified, as the service does
@@ -661,12 +754,12 @@ def _direct_class(text):
     return "ok"
 
 
-def _service_classes(text):
+def _service_classes(text, lang):
     """The classes of the service's per-function parse errors."""
     service = AllocationService(
         ServiceConfig(batch=BatchConfig(batch_workers=0))
     )
-    body = json.dumps({"functions": [{"text": text}]}).encode()
+    body = json.dumps({"functions": [{"text": text, "lang": lang}]}).encode()
     try:
         service._parse_allocate_body(body)
     except ServiceError as exc:
@@ -674,27 +767,40 @@ def _service_classes(text):
     return []
 
 
+def _subject(subject, seed):
+    """``(text, lang)`` of a kernel (*subject* below 12), a random
+    program (12-15) or a random MiniLang source (16-23)."""
+    kernels = all_kernel_workloads(8)
+    if subject < len(kernels):
+        return format_function(kernels[subject].fn), "ir"
+    if subject < 16:
+        return format_function(random_program(seed)), "ir"
+    return random_minilang_source(seed), "minilang"
+
+
 @given(
     seed=SEEDS,
-    subject=st.integers(0, 15),
+    subject=st.integers(0, 23),
     kind=st.sampled_from(MUTATIONS),
 )
 @COMMON
 def test_mutated_text_never_fails_internally(seed, subject, kind):
     """Malformed input ends as a classified error, never ``internal``
-    (the class of a genuine bug): a one-line mutation of a kernel's or a
-    random program's text, through the direct path, the service's
-    parser, and -- as an in-memory function next to a valid one --
-    ``allocate_module``, which still allocates the valid one."""
-    kernels = all_kernel_workloads(8)
-    valid = kernels[0]
-    fn = kernels[subject].fn if subject < len(kernels) else random_program(seed)
-    text = _mutate(format_function(fn), kind, random.Random(seed))
-    assert _direct_class(text) != "internal"
-    assert "internal" not in _service_classes(text)
+    (the class of a genuine bug): a one-line mutation of a kernel's, a
+    random program's or a random MiniLang program's text, through the
+    direct path, the service's parser, and -- as an in-memory function
+    next to a valid one -- ``allocate_module``, which still allocates
+    the valid one."""
+    valid = all_kernel_workloads(8)[0]
+    text, lang = _subject(subject, seed)
+    text = _mutate(text, kind, random.Random(seed))
+    assert _direct_class(text, lang) != "internal"
+    assert "internal" not in _service_classes(text, lang)
     try:
-        mutated = parse_function(text)
-    except IRParseError:
+        mutated = (
+            parse_function(text) if lang == "ir" else compile_source(text)
+        )
+    except (IRParseError, MiniLangError):
         return
     with BatchEngine(batch=BatchConfig(simulate=False)) as engine:
         results = engine.allocate_module(
