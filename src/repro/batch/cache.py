@@ -92,17 +92,14 @@ class AllocationCache:
     # ------------------------------------------------------------------
     # lookup / insert
     # ------------------------------------------------------------------
-    def get(self, key: str, record_stats: bool = True) -> Optional[AllocationRecord]:
-        """The record stored under *key*, or ``None``.
-
-        ``record_stats=False`` makes the probe invisible to the counters
-        (used by ``peek``-style diagnostics)."""
+    def get(self, key: str) -> Optional[AllocationRecord]:
+        """The record stored under *key*, or ``None``; every probe counts
+        as one hit or one miss."""
         record = self._lru.get(key)
         if record is not None:
             self._lru.move_to_end(key)
-            if record_stats:
-                self.stats.hits += 1
-                self.stats.memory_hits += 1
+            self.stats.hits += 1
+            self.stats.memory_hits += 1
             return record
         if self.cache_dir:
             path = self._disk_path(key)
@@ -119,12 +116,10 @@ class AllocationCache:
                     self._quarantine(path)
                 if record is not None:
                     self._insert(key, record)
-                    if record_stats:
-                        self.stats.hits += 1
-                        self.stats.disk_hits += 1
+                    self.stats.hits += 1
+                    self.stats.disk_hits += 1
                     return record
-        if record_stats:
-            self.stats.misses += 1
+        self.stats.misses += 1
         return None
 
     def source_of(self, key: str) -> Optional[str]:

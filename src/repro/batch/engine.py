@@ -15,20 +15,22 @@ One :class:`BatchEngine` owns a persistent ``ProcessPoolExecutor`` and an
    reads, so a function the engine has seen, unchanged, is keyed
    without being validated or printed again;
 2. misses are **deduplicated by cache key** (identical functions *with
-   identical simulator inputs* are computed once) and fanned out over
-   the pool, or computed inline when ``batch_workers == 0``.  Pool
-   workers receive and parse the canonical text; the inline path
-   allocates a :class:`~repro.pipeline.Workload`'s own function and
-   parses only a :class:`SourceWorkload`'s text.  Either way a record
-   is a pure function of its content address, because
-   ``pipeline.prepare`` allocates a
-   :meth:`~repro.ir.function.Function.canonical_copy`, which fixes the
-   block order and instruction uids from the printed text;
+   identical simulator inputs* are computed once): each distinct key is
+   one task, which holds the key's submissions, its tries and its
+   outcome.  Tasks are fanned out over the pool, or computed inline
+   when ``batch_workers == 0``.  Pool workers receive and parse the
+   canonical text; the inline path allocates a
+   :class:`~repro.pipeline.Workload`'s own function and parses only a
+   :class:`SourceWorkload`'s text.  Either way a record is a pure
+   function of its content address, because ``pipeline.prepare``
+   allocates a :meth:`~repro.ir.function.Function.canonical_copy`, which
+   fixes the block order and instruction uids from the printed text;
 3. results are merged by **submission index**, never completion order,
-   and inserted into the cache in submission order -- so the result list,
-   the cache's LRU state, and the trace stream are all deterministic
-   functions of the input module (completion order only shifts wall
-   times).
+   inserted into the cache in submission order, and counted into
+   :class:`BatchStats` once, from the results -- so the result list,
+   the cache's LRU state, the counters and the trace stream are all
+   deterministic functions of the input module (completion order only
+   shifts wall times).
 
 The parallelism axis is deliberately *across functions and processes*:
 each worker allocates sequentially (one function at a time, GIL-free
@@ -86,7 +88,7 @@ import weakref
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.batch.cache import AllocationCache
 from repro.batch.serialize import (
@@ -305,11 +307,16 @@ class SourceWorkload:
 
 @dataclass
 class _Task:
-    """One deduplicated cache miss in flight.
+    """One distinct key of a module pass: its submissions, its tries and
+    its outcome.
 
-    ``index`` is the task's position in the deduplicated submission order
+    ``indices`` are the submissions that share the key, in order; the
+    first names the task.  ``index`` is the task's position in the pass
     -- the coordinate the fault-injection plan targets -- and ``attempt``
-    the 0-based try counter the retry machinery advances.
+    the 0-based try counter the retry machinery advances.  ``error``
+    starts set for a key that never reaches the allocator (admission
+    control, a function that could not be keyed); the other outcome
+    fields are written when a try settles or a ladder rung succeeds.
     """
 
     index: int
@@ -318,19 +325,14 @@ class _Task:
     fingerprint: str
     text: str
     workload: object
+    indices: List[int] = field(default_factory=list)
     attempt: int = 0
-
-
-@dataclass
-class _TaskOutcome:
-    """Terminal state of one :class:`_Task` after retries/degradation."""
-
-    record: Optional[AllocationRecord]
-    timing: Dict[str, object] = field(default_factory=dict)
+    record: Optional[AllocationRecord] = None
     error: Optional[TaskError] = None
+    timing: Dict[str, object] = field(default_factory=dict)
     degraded: bool = False
     fallback_allocator: Optional[str] = None
-    attempts: int = 1
+    attempts: int = 0
 
 
 def _src_path() -> str:
@@ -601,30 +603,35 @@ class BatchEngine:
         t0 = time.time()  # wall: trace rows only (offset from _epoch)
         t0_mono = time.monotonic()
 
-        # 1. fingerprint + cache lookup, in submission order.
-        entries: List[Tuple[str, str, str, object]] = []
+        # 1. key, admit and look up every submission, in order; a miss
+        # or a refusal joins the task of its key.
         results: List[Optional[BatchResult]] = [None] * len(workloads)
-        miss_groups: Dict[str, List[int]] = {}
-        #: keys that fail without reaching the allocator (admission
-        #: control, a function that cannot be keyed) -> their error.
-        refused: Dict[str, TaskError] = {}
+        tasks: Dict[str, _Task] = {}
+
+        def join(index, key, name, fingerprint, text, workload) -> _Task:
+            """The task of *key*, with submission *index* added to it."""
+            task = tasks.get(key)
+            if task is None:
+                task = tasks[key] = _Task(
+                    len(tasks), key, name, fingerprint, text, workload
+                )
+            task.indices.append(index)
+            return task
+
         admission_limit = self.batch.admission_limit
         for index, workload in enumerate(workloads):
             # Records carry simulated costs/returned when inputs are
             # present, so the key must distinguish inputs -- for the
-            # cache lookup *and* for the miss dedup below, which assumes
-            # one key == one (function, inputs) computation.
+            # cache lookup *and* for the task a miss joins, which
+            # assumes one key == one (function, inputs) computation.
             try:
                 name, text, fingerprint, key = self.entry_for(workload)
             except Exception as exc:  # noqa: BLE001 -- isolated below
                 # Invalid or unprintable: no key, so it fails alone.
-                name, text, fingerprint = workload.label(), "", ""
-                key = f"unkeyed:{index}"
-                entries.append((name, text, fingerprint, workload))
-                refused[key] = task_error_from_exception(exc, attempts=0)
-                miss_groups[key] = [index]
+                task = join(index, f"unkeyed:{index}", workload.label(),
+                            "", "", workload)
+                task.error = task_error_from_exception(exc, attempts=0)
                 continue
-            entries.append((name, text, fingerprint, workload))
             if admission_limit is not None:
                 # Admission is decided *before* the cache is consulted,
                 # so the admit/reject stream is a pure function of the
@@ -635,8 +642,8 @@ class BatchEngine:
                     else estimate_cost(workload.fn)
                 )
                 if cost > admission_limit:
-                    self.stats.rejected += 1
-                    refused[key] = TaskError(
+                    task = join(index, key, name, fingerprint, text, workload)
+                    task.error = TaskError(
                         error_class="admission",
                         message=(
                             f"estimated cost {cost} exceeds admission "
@@ -650,7 +657,6 @@ class BatchEngine:
                             function=name, fingerprint=fingerprint,
                             cost=cost, limit=admission_limit,
                         ))
-                    miss_groups.setdefault(key, []).append(index)
                     continue
                 if tracer.enabled:
                     tracer.emit(Admitted(
@@ -660,11 +666,9 @@ class BatchEngine:
             record = None
             cached_source = None
             if self.cache is not None:
+                # get() counts the probe; a torn disk entry is a miss.
                 cached_source = self.cache.source_of(key)
-                if cached_source is not None:
-                    # May still return None for a torn disk entry (the
-                    # get() then counts the miss itself).
-                    record = self.cache.get(key)
+                record = self.cache.get(key)
             if record is not None:
                 if tracer.enabled:
                     tracer.emit(CacheHit(
@@ -677,60 +681,33 @@ class BatchEngine:
                     duration=0.0,
                 )
             else:
-                if self.cache is not None and cached_source is None:
-                    self.cache.stats.misses += 1
                 if tracer.enabled:
                     tracer.emit(CacheMiss(
                         function=name, fingerprint=fingerprint,
                     ))
-                miss_groups.setdefault(key, []).append(index)
+                join(index, key, name, fingerprint, text, workload)
 
-        # 2. compute misses -- one task per distinct key, submission
-        # order; faults are isolated, retried, and degraded per task.
-        ordered_keys = list(miss_groups)
-        tasks: List[_Task] = []
-        for task_index, key in enumerate(ordered_keys):
-            first = miss_groups[key][0]
-            name, text, fingerprint, workload = entries[first]
-            tasks.append(_Task(
-                index=task_index, key=key, name=name,
-                fingerprint=fingerprint, text=text, workload=workload,
-            ))
-        computed: Dict[str, _TaskOutcome] = {}
-        if tasks:
-            # Refused tasks never reach the allocator: they get their
-            # terminal permanent outcome directly and flow through the
-            # same degradation/merge machinery as any other permanent
-            # failure.
-            run_tasks: List[_Task] = []
-            for task in tasks:
-                error = refused.get(task.key)
-                if error is None:
-                    run_tasks.append(task)
-                    continue
-                computed[task.key] = _TaskOutcome(
-                    record=None, error=error, attempts=0,
-                )
-            if run_tasks:
-                if self._pool is None and self.batch.batch_workers > 0:
-                    self.start()
-                if self._pool is not None:
-                    self._run_pooled(run_tasks, computed)
-                else:
-                    self._run_inline(run_tasks, computed)
-            self._apply_degradation(tasks, computed)
-            if self.batch.on_error == "fail":
-                for task in tasks:
-                    outcome = computed[task.key]
-                    if outcome.record is None:
-                        raise BatchFunctionError(task.name, outcome.error)
+        # 2. compute the tasks nothing refused, in submission order;
+        # faults are isolated, retried, and degraded per task.
+        runnable = [task for task in tasks.values() if task.error is None]
+        if runnable:
+            if self._pool is None and self.batch.batch_workers > 0:
+                self.start()
+            if self._pool is not None:
+                self._run_pooled(runnable)
+            else:
+                self._run_inline(runnable)
+        self._apply_degradation(tasks.values())
+        if self.batch.on_error == "fail":
+            for task in tasks.values():
+                if task.record is None:
+                    raise BatchFunctionError(task.name, task.error)
 
         # 3. merge + cache insert, in submission order.
         pids: Dict[int, int] = {}
         own_pid = os.getpid()
-        for key in ordered_keys:
-            outcome = computed[key]
-            timing = outcome.timing
+        for task in tasks.values():
+            timing = task.timing
             pid = int(timing.get("pid", own_pid))
             if self._pool is not None and pid != own_pid:
                 worker = f"worker-{pids.setdefault(pid, len(pids))}"
@@ -742,64 +719,60 @@ class BatchEngine:
             # fallback result must not answer for one.
             if (
                 self.cache is not None
-                and outcome.record is not None
-                and not outcome.degraded
+                and task.record is not None
+                and not task.degraded
             ):
-                self.cache.put(key, outcome.record)
-            for index in miss_groups[key]:
-                name, _, fingerprint, _ = entries[index]
+                self.cache.put(task.key, task.record)
+            for index in task.indices:
                 results[index] = BatchResult(
-                    name=name, fingerprint=fingerprint,
-                    record=outcome.record,
+                    name=workloads[index].label(),
+                    fingerprint=task.fingerprint,
+                    record=task.record,
                     cached=False,
-                    source="computed" if outcome.record is not None
+                    source="computed" if task.record is not None
                     else "failed",
                     worker=worker, duration=duration,
-                    error=outcome.error,
-                    degraded=outcome.degraded,
-                    fallback_allocator=outcome.fallback_allocator,
-                    attempts=outcome.attempts,
+                    error=task.error,
+                    degraded=task.degraded,
+                    fallback_allocator=task.fallback_allocator,
+                    attempts=task.attempts,
                 )
-            if outcome.record is None:
-                self.stats.failures += len(miss_groups[key])
-            if outcome.degraded:
-                self.stats.degraded += len(miss_groups[key])
-                if outcome.error is not None and outcome.error.error_class in (
-                    "admission", "budget", "deadline"
-                ):
-                    self.stats.degraded_by_budget += len(miss_groups[key])
             if tracer.enabled:
-                first_name, _, first_fp, _ = entries[miss_groups[key][0]]
                 tracer.emit(BatchTask(
-                    function=first_name, fingerprint=first_fp,
+                    function=task.name, fingerprint=task.fingerprint,
                     worker=worker,
                     start=float(timing.get("start", t0)) - self._epoch,
                     duration=duration, cached=False,
                 ))
         if tracer.enabled:
             for result in results:
-                if result is not None and result.cached:
+                if result.cached:
                     tracer.emit(BatchTask(
                         function=result.name, fingerprint=result.fingerprint,
                         worker="cache", start=t0 - self._epoch,
                         duration=0.0, cached=True,
                     ))
 
-        wall = time.monotonic() - t0_mono
-        done: List[BatchResult] = [r for r in results if r is not None]
-        assert len(done) == len(workloads)
-        self.stats.functions += len(done)
-        self.stats.computed += len(ordered_keys)
-        self.stats.cache_hits += sum(1 for r in done if r.cached)
-        self.stats.cache_misses += len(workloads) - sum(
-            1 for r in done if r.cached
-        )
+        # 4. count the pass, once, from its results.
+        stats = self.stats
+        stats.functions += len(results)
+        stats.computed += len(tasks)
+        for result in results:
+            error_class = result.error.error_class if result.error else None
+            stats.cache_hits += result.cached
+            stats.cache_misses += not result.cached
+            stats.failures += not result.ok
+            stats.degraded += result.degraded
+            stats.degraded_by_budget += result.degraded and error_class in (
+                "admission", "budget", "deadline"
+            )
+            stats.rejected += error_class == "admission"
         if self.cache is not None:
-            self.stats.evictions = self.cache.stats.evictions
-            self.stats.disk_hits = self.cache.stats.disk_hits
-            self.stats.quarantined = self.cache.stats.quarantined
-        self.stats.wall_s += wall
-        return ModuleAllocation(results=done, stats=self.stats)
+            stats.evictions = self.cache.stats.evictions
+            stats.disk_hits = self.cache.stats.disk_hits
+            stats.quarantined = self.cache.stats.quarantined
+        stats.wall_s += time.monotonic() - t0_mono
+        return ModuleAllocation(results=results, stats=stats)
 
     # ------------------------------------------------------------------
     # fault-handling compute paths
@@ -828,7 +801,6 @@ class BatchEngine:
         record: Optional[AllocationRecord],
         error: Optional[TaskError],
         timing: Dict[str, object],
-        outcomes: Dict[str, _TaskOutcome],
     ) -> bool:
         """Settle one try of *task*, wherever it ran.
 
@@ -837,9 +809,8 @@ class BatchEngine:
         ``True``: the caller tries the task again, at ``task.attempt``
         plus one."""
         if record is not None:
-            outcomes[task.key] = _TaskOutcome(
-                record=record, timing=timing, attempts=task.attempt + 1,
-            )
+            task.record, task.timing = record, timing
+            task.attempts = task.attempt + 1
             self.timers.merge(timing.get("stage_times", {}))
             self._merge_tile_counters(timing.get("tile_cache"))
             return False
@@ -865,10 +836,8 @@ class BatchEngine:
                 time.sleep(backoff)
             task.attempt += 1
             return True
-        outcomes[task.key] = _TaskOutcome(
-            record=None, timing=timing, error=error,
-            attempts=task.attempt + 1,
-        )
+        task.error, task.timing = error, timing
+        task.attempts = task.attempt + 1
         return False
 
     def _emit_failed(self, task: _Task, error: TaskError, message: str):
@@ -878,9 +847,7 @@ class BatchEngine:
             attempt=task.attempt, message=message,
         ))
 
-    def _run_pooled(
-        self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
-    ) -> None:
+    def _run_pooled(self, tasks: List[_Task]) -> None:
         """Fan tasks out over the pool, surviving worker loss.
 
         Futures are collected in submission order (never completion
@@ -933,26 +900,22 @@ class BatchEngine:
                 else:
                     if record is not None:
                         record = record_from_dict(record)
-                if self._settle(task, record, error, timing, outcomes):
+                if self._settle(task, record, error, timing):
                     retry_queue.append(task)
             if restart_needed:
                 self._restart_pool(resubmitted=len(retry_queue))
             pending = retry_queue
 
-    def _run_inline(
-        self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
-    ) -> None:
+    def _run_inline(self, tasks: List[_Task]) -> None:
         """Compute misses in-process with the same retry semantics as the
         pooled path (timeouts cannot preempt an inline task and are
         ignored; injected kill/hang faults downgrade to transient
         raises -- see :mod:`repro.batch.faultinject`)."""
         for task in tasks:
-            while self._settle(task, *self._attempt(task), outcomes):
+            while self._settle(task, *self._attempt(task)):
                 pass
 
-    def _apply_degradation(
-        self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
-    ) -> None:
+    def _apply_degradation(self, tasks: Iterable[_Task]) -> None:
         """Walk failed tasks down the degradation ladder (coordinator-
         side, in submission order; no-op unless ``on_error="degrade"``).
 
@@ -964,8 +927,7 @@ class BatchEngine:
         if self.batch.on_error != "degrade":
             return
         for task in tasks:
-            outcome = outcomes[task.key]
-            if outcome.record is not None or outcome.error is None:
+            if task.record is not None:
                 continue
             for rung in DEGRADATION_LADDER:
                 record, error, timing = self._attempt(task, allocator=rung)
@@ -979,14 +941,12 @@ class BatchEngine:
                             task, error, f"fallback {rung!r}: {error.message}"
                         )
                     continue
-                outcome.record = record
-                outcome.degraded = True
-                outcome.fallback_allocator = rung
-                outcome.timing = timing
+                task.record, task.timing = record, timing
+                task.degraded, task.fallback_allocator = True, rung
                 if self.tracer.enabled:
                     self.tracer.emit(Degraded(
                         function=task.name, fingerprint=task.fingerprint,
                         fallback_allocator=rung,
-                        error_class=outcome.error.error_class,
+                        error_class=task.error.error_class,
                     ))
                 break

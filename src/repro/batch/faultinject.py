@@ -38,7 +38,8 @@ killing or blocking the coordinator.
 Everything here is a pure function of the plan text and the
 deterministic (task, attempt) / write-ordinal coordinates, so an
 injected-fault run retries into a state bit-identical to a fault-free
-run -- which is exactly what the fault-gate CI job asserts.
+run -- which the CI determinism gate asserts with an injected worker
+crash.
 """
 
 from __future__ import annotations

@@ -60,6 +60,8 @@ _CALL_RE = re.compile(
 )
 _SPILL_ST_RE = re.compile(rf"^spillst\s+\[({SLOT})\],\s*({NAME})$")
 _SPILL_LD_RE = re.compile(rf"^spillld\s+\[({SLOT})\]$")
+_CBR_RE = re.compile(rf"^cbr\s+({NAME})$")
+_RET_RE = re.compile(r"^ret(?:\s+(.*))?$")
 #: Comma-separated lists of names and of labels, possibly empty.
 _NAMES_RE = re.compile(rf"\s*(?:{NAME}(?:\s*,\s*{NAME})*)?\s*")
 _LABELS_RE = re.compile(rf"\s*(?:{LABEL}(?:\s*,\s*{LABEL})*)?\s*")
@@ -162,10 +164,12 @@ def _parse_instr(line: str) -> Instr:
         return Instr(Opcode.BR)
     if line == "nop":
         return Instr(Opcode.NOP)
-    if line.startswith("cbr"):
-        return Instr(Opcode.CBR, uses=tuple(_split_names(line[3:])))
-    if line.startswith("ret"):
-        return Instr(Opcode.RET, uses=tuple(_split_names(line[3:])))
+    m = _CBR_RE.match(line)
+    if m:
+        return Instr(Opcode.CBR, uses=(m.group(1),))
+    m = _RET_RE.match(line)
+    if m:
+        return Instr(Opcode.RET, uses=tuple(_split_names(m.group(1) or "")))
     raise IRParseError(f"cannot parse instruction {line!r}")
 
 

@@ -198,17 +198,3 @@ def remove_self_moves(fn: Function) -> int:
             kept.append(instr)
         block.instrs = kept
     return removed
-
-
-def count_static_spill_code(fn: Function) -> Dict[str, int]:
-    """Static counts of allocation-inserted instructions."""
-    loads = stores = moves = 0
-    for block in fn.blocks.values():
-        for instr in block.instrs:
-            if instr.op is Opcode.SPILL_LD:
-                loads += 1
-            elif instr.op is Opcode.SPILL_ST:
-                stores += 1
-            elif instr.op is Opcode.MOVE:
-                moves += 1
-    return {"spill_loads": loads, "spill_stores": stores, "moves": moves}

@@ -150,7 +150,6 @@ def compile_function(
     machine: Machine,
     verify: bool = True,
     optimize: bool = False,
-    max_steps: int = 2_000_000,
     tracer: Optional[NullTracer] = None,
 ) -> CompileResult:
     """Allocate registers for a workload and verify + measure the result.
@@ -179,7 +178,6 @@ def compile_function(
             workload.fn,
             args=workload.args,
             arrays=workload.arrays,
-            max_steps=max_steps,
         )
 
     with _stage(trace, "pipeline:allocate"):
@@ -191,7 +189,6 @@ def compile_function(
             outcome.fn,
             args=allocated_args,
             arrays=workload.arrays,
-            max_steps=max_steps,
         )
     if verify:
         if reference.returned != allocated.returned:

@@ -177,6 +177,9 @@ class TestEngineBasics:
         assert stats.computed == len(module)
         assert stats.cache_hits == len(module)
         assert stats.cache_misses == len(module)
+        # the cache counts its own probes, once each
+        assert engine.cache.stats.hits == len(module)
+        assert engine.cache.stats.misses == len(module)
         assert stats.wall_s > 0
         assert stats.functions_per_sec > 0
         payload = stats.as_dict()

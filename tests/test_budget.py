@@ -30,7 +30,12 @@ from repro.core.budget import (
     estimate_cost,
 )
 from repro.core.incremental import TileCacheStore
-from repro.errors import PERMANENT, TRANSIENT, classify_exception
+from repro.errors import (
+    PERMANENT,
+    TRANSIENT,
+    BatchFunctionError,
+    classify_exception,
+)
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, prepare
@@ -242,6 +247,19 @@ class TestEngineGovernance:
             engine.allocate_module(_module())
             engine.allocate_module(_module())
             assert engine.stats.rejected == 2 * len(_module())
+
+    def test_strict_raise_counts_nothing_for_its_pass(self):
+        """Result counters are counted from a pass's results, so a pass
+        that strict mode ends with a raise counts none of them."""
+        config = BatchConfig(
+            batch_workers=0, on_error="fail", admission_limit=10
+        )
+        with BatchEngine(batch=config) as engine:
+            with pytest.raises(BatchFunctionError) as info:
+                engine.allocate_module(_module())
+            stats = engine.stats
+        assert info.value.error.error_class == "admission"
+        assert stats.rejected == 0 and stats.functions == 0
 
     def test_admitted_functions_complete_normally(self):
         config = BatchConfig(

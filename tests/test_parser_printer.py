@@ -217,10 +217,12 @@ class TestParserErrors:
             ("a:\n  x, y = neg z\n  -> b\nb:\n", 3),  # two defs
             ("a:\n  cbr\n  -> b, b\nb:\n", 3),  # no condition
             ("a:\n  x = load A\n  -> b\nb:\n", 3),  # no index
+            ("a:\n  retx\n  -> b\nb:\n", 3),  # not ``ret x``
+            ("a:\n  cbrc\n  -> b, b\nb:\n", 3),  # not ``cbr c``
         ],
         ids=["duplicate_label", "unknown_mnemonic", "bad_literal",
              "copy_no_operand", "add_one_operand", "neg_two_defs",
-             "cbr_no_condition", "load_no_index"],
+             "cbr_no_condition", "load_no_index", "retx", "cbrc"],
     )
     def test_malformed_line_is_a_parse_error_with_its_line(self, body, line):
         with pytest.raises(IRParseError, match=f"^line {line}: "):

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.allocators import BriggsAllocator, ChaitinAllocator
-from repro.allocators.base import AllocationOutcome, AllocStats
+from repro.allocators.base import (
+    AllocationOutcome,
+    AllocStats,
+    record_spill_blocks,
+)
 from repro.core import HierarchicalAllocator
 from repro.ir.instructions import Instr, Opcode
 from repro.machine.rewrite import (
     AllocationCheckError,
     apply_assignment,
     check_physical,
-    count_static_spill_code,
     rewrite_spilled,
     spill_slot,
 )
@@ -99,10 +102,11 @@ class TestRewriteHelpers:
 
     def test_count_static_spill_code(self, loop_fn):
         out, _ = rewrite_spilled(loop_fn, {"s"})
-        counts = count_static_spill_code(out)
-        assert counts["spill_loads"] > 0
-        assert counts["spill_stores"] > 0
-        assert counts["moves"] == 0
+        stats = AllocStats()
+        record_spill_blocks(out, stats)
+        assert stats.static_spill_loads > 0
+        assert stats.static_spill_stores > 0
+        assert stats.static_moves == 0
 
 
 class TestPipeline:
